@@ -267,18 +267,37 @@ void ShardedNdpClient::Reap(bool wait) {
   }
 }
 
-ndp::PartialFetch ShardedNdpClient::SubFetch(
+ndp::SelectAccumulator ShardedNdpClient::SubFetch(
     int shard, const std::string& key, const std::string& array,
     const std::vector<double>& isovalues,
     const std::vector<std::int64_t>* only_bricks,
-    const std::vector<bool>& eligible) {
+    const std::vector<bool>& eligible, bool streamed, ndp::FieldMerge& merge) {
   const std::vector<int> chain =
       LiveChain(shard, eligible.empty() ? nullptr : &eligible);
-  obs::Registry& reg = obs::DefaultRegistry();
-  reg.GetCounter("cluster_subfetch_total", {{"shard", ShardTag(shard)}})
+  obs::DefaultRegistry()
+      .GetCounter("cluster_subfetch_total", {{"shard", ShardTag(shard)}})
       .Increment();
   obs::Span span("cluster.shard" + ShardTag(shard));
+  ndp::PartialFetch won;
+  if (streamed) {
+    won.acc =
+        StreamChain(shard, chain, key, array, isovalues, *only_bricks, merge);
+  } else {
+    won = HedgedRace(shard, chain, key, array, isovalues, only_bricks);
+  }
+  span.End();
+  subfetch_seconds_.Observe(span.ElapsedSeconds());
+  // A stream delivered its chunks as they arrived; a race held its
+  // winner's selection until the race resolved.
+  if (!streamed) merge.Scatter(won.acc.header, won.selection, "cluster.merge");
+  return std::move(won.acc);
+}
 
+ndp::PartialFetch ShardedNdpClient::HedgedRace(
+    int shard, const std::vector<int>& chain, const std::string& key,
+    const std::string& array, const std::vector<double>& isovalues,
+    const std::vector<std::int64_t>* only_bricks) {
+  obs::Registry& reg = obs::DefaultRegistry();
   auto state = std::make_shared<Race>();
   state->slots.resize(chain.size());
   std::vector<std::future<void>> attempts;
@@ -411,43 +430,18 @@ ndp::PartialFetch ShardedNdpClient::SubFetch(
   // Hand losers still in flight to the reaper; their slots stay alive
   // through the shared Race until the worker finishes.
   Park(std::move(attempts));
-  span.End();
-  subfetch_seconds_.Observe(span.ElapsedSeconds());
   return result;
 }
 
-ShardedNdpClient::ShardStream ShardedNdpClient::SubFetchStreaming(
-    int shard, const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues,
-    const std::vector<std::int64_t>& bricks,
-    const std::vector<bool>& eligible, StreamMerge& merge) {
-  const std::vector<int> chain =
-      LiveChain(shard, eligible.empty() ? nullptr : &eligible);
+ndp::SelectAccumulator ShardedNdpClient::StreamChain(
+    int shard, const std::vector<int>& chain, const std::string& key,
+    const std::string& array, const std::vector<double>& isovalues,
+    const std::vector<std::int64_t>& bricks, ndp::FieldMerge& merge) {
   obs::Registry& reg = obs::DefaultRegistry();
-  reg.GetCounter("cluster_subfetch_total", {{"shard", ShardTag(shard)}})
-      .Increment();
-  obs::Span span("cluster.shard" + ShardTag(shard));
-
-  ShardStream out;
-  const auto deliver = [&](const ndp::DecodedSelection& sel) {
-    std::lock_guard lk(merge.mu);
-    if (!merge.field.has_value()) {
-      merge.dims = out.acc.header.dims;
-      merge.geometry.origin = {out.acc.header.origin[0],
-                               out.acc.header.origin[1],
-                               out.acc.header.origin[2]};
-      merge.geometry.spacing = {out.acc.header.spacing[0],
-                                out.acc.header.spacing[1],
-                                out.acc.header.spacing[2]};
-      merge.field.emplace(merge.dims, out.acc.header.dtype);
-    } else if (merge.dims.nx != out.acc.header.dims.nx ||
-               merge.dims.ny != out.acc.header.dims.ny ||
-               merge.dims.nz != out.acc.header.dims.nz) {
-      throw Error("shards disagree on dataset shape — mixed replicas?");
-    }
-    merge.field->Scatter(sel.ids, sel.values);
+  ndp::SelectAccumulator acc;
+  const auto deliver = [&](ndp::DecodedSelection&& sel) {
+    merge.Scatter(acc.header, sel);
   };
-
   std::exception_ptr last;
   for (size_t i = 0; i < chain.size(); ++i) {
     const int sv = chain[i];
@@ -456,23 +450,21 @@ ShardedNdpClient::ShardStream ShardedNdpClient::SubFetchStreaming(
       obs::GlobalEventLog().Append(
           "cluster.failover",
           "shard=" + ShardTag(shard) + " server=" + std::to_string(sv));
-      if (out.acc.got_header) {
+      if (acc.got_header) {
         // The hop continues a started stream from its cursor — a
         // mid-stream resume on a different data copy, the recovery rung
         // the per-node resume budget cannot provide.
         reg.GetCounter("ndp_stream_resume_total").Increment();
         obs::GlobalEventLog().Append(
             "ndp.stream_resume",
-            "key=" + key + " cursor=" + std::to_string(out.acc.cursor) +
+            "key=" + key + " cursor=" + std::to_string(acc.cursor) +
                 " server=" + std::to_string(sv));
       }
     }
     try {
-      out.terminal = servers_[static_cast<size_t>(sv)]->StreamSelect(
-          key, array, isovalues, &bricks, out.acc, deliver);
-      span.End();
-      subfetch_seconds_.Observe(span.ElapsedSeconds());
-      return out;
+      servers_[static_cast<size_t>(sv)]->Select(
+          key, array, isovalues, &bricks, /*streamed=*/true, acc, deliver);
+      return acc;
     } catch (const BusyError&) {
       MarkSuspect(sv, true);
       last = std::current_exception();
@@ -485,138 +477,48 @@ ShardedNdpClient::ShardStream ShardedNdpClient::SubFetchStreaming(
   std::rethrow_exception(last);
 }
 
-contour::SparseField ShardedNdpClient::FetchSparseFieldStreaming(
+ndp::SelectAccumulator ShardedNdpClient::Rescue(
     const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
-    ndp::NdpLoadStats* stats,
-    const ndp::NdpClient::FileInfo::Array& meta) {
-  obs::Span total_span("cluster.fetch");
-  Reap(/*wait=*/false);
-  const std::vector<bool> eligible = Eligibility(fleet_view());
-
-  std::vector<std::pair<int, std::vector<std::int64_t>>> plan;
-  std::vector<std::vector<std::int64_t>> slices =
-      map_.Partition(key, meta.brick_count, &eligible);
-  for (int s = 0; s < static_cast<int>(slices.size()); ++s) {
-    if (!slices[static_cast<size_t>(s)].empty()) {
-      plan.emplace_back(s, std::move(slices[static_cast<size_t>(s)]));
+    const std::vector<double>& isovalues, const std::vector<bool>& eligible,
+    ndp::FieldMerge& merge, std::exception_ptr shard_failure) {
+  // Rung 3: some shard exhausted its replica chain. Any single live node
+  // can still serve the *whole* dataset (every node is a full replica),
+  // so trade the bandwidth win for availability — one-shot, even for a
+  // streamed fetch — before falling back to the caller's baseline path.
+  // The whole-dataset selection re-covers bricks other shards already
+  // delivered; the duplicate-invariant Scatter absorbs that.
+  obs::DefaultRegistry().GetCounter("cluster_unrestricted_fallback_total")
+      .Increment();
+  obs::GlobalEventLog().Append("cluster.unrestricted_fallback", "key=" + key);
+  // Usable nodes first; the rest only as a last resort (the view may be
+  // stale, and a "dead" node that answers is better than no data).
+  std::vector<int> rescue_order;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int sv = 0; sv < server_count(); ++sv) {
+      if (eligible[static_cast<size_t>(sv)] == (pass == 0)) {
+        rescue_order.push_back(sv);
+      }
     }
   }
-
-  StreamMerge merge;
-  const obs::TraceContext parent_ctx = obs::CurrentTraceContext();
-  std::vector<std::future<ShardStream>> futures;
-  futures.reserve(plan.size());
-  for (const auto& [shard, bricks] : plan) {
-    futures.push_back(std::async(
-        std::launch::async,
-        [this, shard = shard, &key, &array, &isovalues, &bricks, parent_ctx,
-         &eligible, &merge]() {
-          std::optional<obs::ScopedTraceContext> scope;
-          if (parent_ctx.valid()) scope.emplace(parent_ctx);
-          return SubFetchStreaming(shard, key, array, isovalues, bricks,
-                                   eligible, merge);
-        }));
-  }
-
-  std::vector<ShardStream> results;
-  results.reserve(plan.size());
-  std::exception_ptr shard_failure;
-  for (std::future<ShardStream>& f : futures) {
+  for (const int sv : rescue_order) {
+    ndp::PartialFetch whole;
     try {
-      results.push_back(f.get());
-    } catch (const BusyError&) {
-      shard_failure = std::current_exception();
-    } catch (const RpcError&) {
-      throw;  // application error: identical on every replica
-    } catch (const Error&) {
-      shard_failure = std::current_exception();
+      obs::Span rescue_span("cluster.rescue");
+      whole = servers_[static_cast<size_t>(sv)]->FetchPartial(
+          key, array, isovalues, nullptr);
+    } catch (const Error& e) {
+      // Swallowed on purpose — the next server in the order is the
+      // answer — but journaled so a fetch that exhausts every rescue
+      // rung leaves a per-server trail of what refused it.
+      obs::GlobalEventLog().Append(
+          "cluster.rescue_failed",
+          "server=" + std::to_string(sv) + " error=" + e.what());
+      continue;
     }
+    merge.Scatter(whole.acc.header, whole.selection, "cluster.merge");
+    return std::move(whole.acc);
   }
-
-  if (shard_failure != nullptr) {
-    // Rung 3, as in the monolithic path: a shard exhausted its chain,
-    // so trade bandwidth for availability with an unrestricted rescue
-    // fetch. The whole-dataset selection re-covers bricks the streams
-    // already scattered; the duplicate-invariant Scatter absorbs that.
-    obs::DefaultRegistry().GetCounter("cluster_unrestricted_fallback_total")
-        .Increment();
-    obs::GlobalEventLog().Append("cluster.unrestricted_fallback",
-                                 "key=" + key);
-    bool rescued = false;
-    std::vector<int> rescue_order;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int sv = 0; sv < server_count(); ++sv) {
-        if (eligible[static_cast<size_t>(sv)] == (pass == 0)) {
-          rescue_order.push_back(sv);
-        }
-      }
-    }
-    for (const int sv : rescue_order) {
-      if (rescued) break;
-      try {
-        obs::Span rescue_span("cluster.rescue");
-        ndp::PartialFetch whole =
-            servers_[static_cast<size_t>(sv)]->FetchPartial(key, array,
-                                                            isovalues,
-                                                            nullptr);
-        std::lock_guard lk(merge.mu);
-        if (!merge.field.has_value()) {
-          merge.dims = whole.dims;
-          merge.geometry = whole.geometry;
-          merge.field.emplace(whole.dims, whole.dtype);
-        }
-        merge.field->Scatter(whole.selection.ids, whole.selection.values);
-        rescued = true;
-      } catch (const Error& e) {
-        obs::GlobalEventLog().Append(
-            "cluster.rescue_failed",
-            "server=" + std::to_string(sv) + " error=" + e.what());
-      }
-    }
-    if (!rescued) std::rethrow_exception(shard_failure);
-  }
-
-  VIZNDP_CHECK_MSG(merge.field.has_value(),
-                   "sharded streaming fetch produced no field");
-  if (geometry != nullptr) *geometry = merge.geometry;
-
-  if (stats != nullptr) {
-    *stats = ndp::NdpLoadStats{};
-    stats->trace_id = obs::CurrentTraceContext().trace_id;
-    stats->streamed = true;
-    for (const ShardStream& r : results) {
-      stats->stream_chunks += r.acc.chunks;
-      stats->stream_resumes += r.acc.resumes;
-      stats->stream_cancelled = stats->stream_cancelled || r.acc.cancelled;
-      stats->payload_bytes += r.acc.payload_bytes;
-      stats->reply_bytes += r.acc.payload_bytes + 256 * (r.acc.chunks + 2);
-      stats->bricks_total =
-          std::max(stats->bricks_total, r.acc.header.bricks_total);
-      stats->total_points =
-          std::max(stats->total_points,
-                   static_cast<std::uint64_t>(r.acc.header.total_points));
-      stats->client_decode_s += r.acc.decode_s;
-      stats->client_scatter_s += r.acc.scatter_s;
-      if (r.terminal.Is<msgpack::Map>()) {
-        stats->stored_bytes += r.terminal.At("stored_bytes").AsUint();
-        stats->raw_bytes = std::max(stats->raw_bytes,
-                                    r.terminal.At("raw_bytes").AsUint());
-        stats->bricks_read += r.terminal.At("bricks_read").AsInt();
-        // Parallel shards: the fleet's phase time is the slowest shard.
-        stats->server_read_s = std::max(stats->server_read_s,
-                                        r.terminal.At("read_s").AsDouble());
-        stats->server_select_s =
-            std::max(stats->server_select_s,
-                     r.terminal.At("select_s").AsDouble());
-      }
-    }
-    stats->selected_points =
-        static_cast<std::uint64_t>(merge.field->ValidCount());
-    total_span.End();
-    stats->client_s = total_span.ElapsedSeconds();
-  }
-  return std::move(*merge.field);
+  std::rethrow_exception(shard_failure);
 }
 
 contour::SparseField ShardedNdpClient::FetchSparseField(
@@ -627,17 +529,6 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
   if (obs::GlobalTracer().enabled() && !obs::CurrentTraceContext().valid()) {
     root.emplace(obs::TraceContext::Mint(/*sampled=*/true));
   }
-  if (stream_.chunk_bricks > 0) {
-    // Streaming needs a brick-id cursor space; unbricked (or unknown)
-    // arrays fall through to the monolithic path below, which routes
-    // them whole to their rendezvous owner.
-    const ndp::NdpClient::FileInfo sinfo = Info(key);
-    const ndp::NdpClient::FileInfo::Array* smeta = sinfo.Find(array);
-    if (smeta != nullptr && smeta->brick_count > 0) {
-      return FetchSparseFieldStreaming(key, array, isovalues, geometry,
-                                       stats, *smeta);
-    }
-  }
   obs::Span total_span("cluster.fetch");
   Reap(/*wait=*/false);
 
@@ -646,16 +537,17 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
   // once it is taken.
   const std::vector<bool> eligible = Eligibility(fleet_view());
 
-  // Placement needs the brick decomposition; a monolithic array cannot
-  // be sub-divided and routes whole to its rendezvous owner.
+  // Placement needs the brick decomposition. A monolithic array — or an
+  // array the catalog doesn't know, which the home server rejects with
+  // its canonical application error — cannot be sub-divided or streamed
+  // over brick cursors: it routes whole, one-shot, to its rendezvous
+  // owner.
   const ndp::NdpClient::FileInfo info = Info(key);
   const ndp::NdpClient::FileInfo::Array* meta = info.Find(array);
-
-  std::vector<std::pair<int, std::vector<std::int64_t>>> plan;
   const bool whole_key = meta == nullptr || meta->brick_count == 0;
+  const bool streamed = stream_.chunk_bricks > 0 && !whole_key;
+  std::vector<std::pair<int, std::vector<std::int64_t>>> plan;
   if (whole_key) {
-    // Monolithic array — or an array the catalog doesn't know, which the
-    // home server rejects with its canonical application error.
     plan.emplace_back(map_.ShardOfKey(key, &eligible),
                       std::vector<std::int64_t>{});
   } else {
@@ -668,30 +560,32 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     }
   }
 
-  // Scatter: one concurrent sub-fetch per shard slice. Gather is a
-  // barrier — the merge needs every partial.
+  // Scatter: one concurrent sub-fetch per shard slice, each delivering
+  // into the one merge target. Gather is a barrier.
+  ndp::FieldMerge merge;
   const obs::TraceContext parent_ctx = obs::CurrentTraceContext();
-  std::vector<std::future<ndp::PartialFetch>> futures;
+  std::vector<std::future<ndp::SelectAccumulator>> futures;
   futures.reserve(plan.size());
   for (const auto& [shard, bricks] : plan) {
     const std::vector<std::int64_t>* restriction =
         whole_key ? nullptr : &bricks;
     futures.push_back(std::async(
-        std::launch::async, [this, shard = shard, &key, &array, &isovalues,
-                             restriction, parent_ctx, &eligible]() {
+        std::launch::async,
+        [this, shard = shard, &key, &array, &isovalues, restriction,
+         parent_ctx, &eligible, streamed, &merge]() {
           std::optional<obs::ScopedTraceContext> scope;
           if (parent_ctx.valid()) scope.emplace(parent_ctx);
           return SubFetch(shard, key, array, isovalues, restriction,
-                          eligible);
+                          eligible, streamed, merge);
         }));
   }
 
-  std::vector<ndp::PartialFetch> partials;
-  partials.reserve(plan.size());
+  std::vector<ndp::SelectAccumulator> results;
+  results.reserve(plan.size() + 1);
   std::exception_ptr shard_failure;
-  for (size_t i = 0; i < futures.size(); ++i) {
+  for (std::future<ndp::SelectAccumulator>& f : futures) {
     try {
-      partials.push_back(futures[i].get());
+      results.push_back(f.get());
     } catch (const BusyError&) {
       shard_failure = std::current_exception();
     } catch (const RpcError&) {
@@ -700,85 +594,26 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
       shard_failure = std::current_exception();
     }
   }
-
   if (shard_failure != nullptr) {
-    // Rung 3: some shard exhausted its replica chain. Any single live
-    // node can still serve the *whole* dataset (every node is a full
-    // replica), so trade the bandwidth win for availability before
-    // falling back to the caller's baseline path.
-    obs::DefaultRegistry().GetCounter("cluster_unrestricted_fallback_total")
-        .Increment();
-    obs::GlobalEventLog().Append("cluster.unrestricted_fallback",
-                                 "key=" + key);
-    bool rescued = false;
-    // Usable nodes first; the rest only as a last resort (the view may
-    // be stale, and a "dead" node that answers is better than no data).
-    std::vector<int> rescue_order;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int sv = 0; sv < server_count(); ++sv) {
-        if (eligible[static_cast<size_t>(sv)] == (pass == 0)) {
-          rescue_order.push_back(sv);
-        }
-      }
-    }
-    for (const int sv : rescue_order) {
-      if (rescued) break;
-      try {
-        obs::Span rescue_span("cluster.rescue");
-        partials.clear();
-        partials.push_back(servers_[static_cast<size_t>(sv)]->FetchPartial(
-            key, array, isovalues, nullptr));
-        rescued = true;
-      } catch (const Error& e) {
-        // Swallowed on purpose — the next server in the order is the
-        // answer — but journaled so a fetch that exhausts every rescue
-        // rung leaves a per-server trail of what refused it.
-        obs::GlobalEventLog().Append(
-            "cluster.rescue_failed",
-            "server=" + std::to_string(sv) + " error=" + e.what());
-      }
-    }
-    if (!rescued) std::rethrow_exception(shard_failure);
+    results.push_back(
+        Rescue(key, array, isovalues, eligible, merge, shard_failure));
   }
 
-  VIZNDP_CHECK_MSG(!partials.empty(), "sharded fetch produced no partials");
-  // Merge. Scatter is idempotent for duplicate ids (shard halos overlap
-  // on brick boundaries with identical values) and order-independent,
-  // so any arrival order reconstructs the same field.
-  const ndp::PartialFetch& first = partials.front();
-  for (const ndp::PartialFetch& p : partials) {
-    VIZNDP_CHECK_MSG(p.dims.nx == first.dims.nx &&
-                         p.dims.ny == first.dims.ny &&
-                         p.dims.nz == first.dims.nz &&
-                         p.dtype == first.dtype,
-                     "shards disagree on dataset shape — mixed replicas?");
-  }
-  if (geometry != nullptr) *geometry = first.geometry;
-  contour::SparseField field(first.dims, first.dtype);
-  obs::Span scatter_span("cluster.merge");
-  for (const ndp::PartialFetch& p : partials) {
-    field.Scatter(p.selection.ids, p.selection.values);
-  }
-  scatter_span.End();
+  const auto shaped = std::find_if(
+      results.begin(), results.end(),
+      [](const ndp::SelectAccumulator& r) { return r.got_header; });
+  VIZNDP_CHECK_MSG(shaped != results.end(), "sharded fetch produced no field");
+  contour::SparseField field = merge.Take(shaped->header);
+  if (geometry != nullptr) *geometry = shaped->geometry();
 
   if (stats != nullptr) {
     *stats = ndp::NdpLoadStats{};
     stats->trace_id = obs::CurrentTraceContext().trace_id;
-    for (const ndp::PartialFetch& p : partials) {
-      stats->stored_bytes += p.stored_bytes;
-      stats->raw_bytes = std::max(stats->raw_bytes, p.raw_bytes);
-      stats->payload_bytes += p.payload_bytes;
-      stats->reply_bytes += p.payload_bytes + 256;
-      stats->bricks_read += p.bricks_read;
-      stats->total_points = std::max(stats->total_points, p.total_points);
-      // Parallel shards: the fleet's phase time is the slowest shard.
-      stats->server_read_s = std::max(stats->server_read_s, p.server_read_s);
-      stats->server_select_s =
-          std::max(stats->server_select_s, p.server_select_s);
-    }
-    stats->bricks_total = first.bricks_total;
+    stats->streamed = streamed;
+    for (const ndp::SelectAccumulator& r : results) r.AddTo(*stats);
+    // Deduplicated: shard halos overlap on brick boundaries.
     stats->selected_points = static_cast<std::uint64_t>(field.ValidCount());
-    stats->client_scatter_s = scatter_span.ElapsedSeconds();
+    stats->client_scatter_s = merge.scatter_s();
     total_span.End();
     stats->client_s = total_span.ElapsedSeconds();
   }

@@ -138,43 +138,46 @@ class ShardedNdpClient : public ndp::NdpFetcher {
     std::vector<Slot> slots;
   };
 
-  // Hedged, failing-over fetch of one shard's slice (`only_bricks`
-  // nullptr = the whole dataset, for unbricked arrays). Throws the last
-  // replica's error once the chain is exhausted. `eligible` is the
-  // fetch's view snapshot (empty = all servers).
-  ndp::PartialFetch SubFetch(int shard, const std::string& key,
-                             const std::string& array,
-                             const std::vector<double>& isovalues,
-                             const std::vector<std::int64_t>* only_bricks,
-                             const std::vector<bool>& eligible);
+  // One shard's sub-fetch of its slice (`only_bricks` nullptr = the
+  // whole dataset, for unbricked arrays), delivered into `merge`: a
+  // stream walks the replica chain (StreamChain), a one-shot races it
+  // (HedgedRace). Throws the last replica's error once the chain is
+  // exhausted. `eligible` is the fetch's view snapshot (empty = all
+  // servers).
+  ndp::SelectAccumulator SubFetch(int shard, const std::string& key,
+                                  const std::string& array,
+                                  const std::vector<double>& isovalues,
+                                  const std::vector<std::int64_t>* only_bricks,
+                                  const std::vector<bool>& eligible,
+                                  bool streamed, ndp::FieldMerge& merge);
 
-  // Shared scatter target of one streaming fetch: shard workers append
-  // chunks under the mutex as they arrive (SparseField::Scatter is
-  // order/duplicate-invariant, so interleaving is safe).
-  struct StreamMerge {
-    std::mutex mu;
-    std::optional<contour::SparseField> field;
-    grid::Dims dims;
-    grid::UniformGeometry geometry;
-  };
-  struct ShardStream {
-    ndp::StreamAccumulator acc;
-    msgpack::Value terminal;
-  };
+  // One-shot policy: the primary replica, a hedge on the next once the
+  // hedge delay passes, sequential failover on errors; the first success
+  // wins and the losers are parked.
+  ndp::PartialFetch HedgedRace(int shard, const std::vector<int>& chain,
+                               const std::string& key,
+                               const std::string& array,
+                               const std::vector<double>& isovalues,
+                               const std::vector<std::int64_t>* only_bricks);
 
-  // Streaming sub-fetch: walks the replica chain sequentially, carrying
-  // the accumulator (cursor) across hops.
-  ShardStream SubFetchStreaming(int shard, const std::string& key,
+  // Stream policy: replicas in sequence, each hop resuming from the
+  // accumulator's cursor. No hedging — a hedge would ship every chunk
+  // twice, the exact cost streaming exists to avoid.
+  ndp::SelectAccumulator StreamChain(int shard, const std::vector<int>& chain,
+                                     const std::string& key,
+                                     const std::string& array,
+                                     const std::vector<double>& isovalues,
+                                     const std::vector<std::int64_t>& bricks,
+                                     ndp::FieldMerge& merge);
+
+  // Rung 3: an unrestricted one-shot fetch from any node, delivered into
+  // `merge`; rethrows `shard_failure` when every node refuses.
+  ndp::SelectAccumulator Rescue(const std::string& key,
                                 const std::string& array,
                                 const std::vector<double>& isovalues,
-                                const std::vector<std::int64_t>& bricks,
                                 const std::vector<bool>& eligible,
-                                StreamMerge& merge);
-
-  contour::SparseField FetchSparseFieldStreaming(
-      const std::string& key, const std::string& array,
-      const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
-      ndp::NdpLoadStats* stats, const ndp::NdpClient::FileInfo::Array& meta);
+                                ndp::FieldMerge& merge,
+                                std::exception_ptr shard_failure);
 
   // Replica chain for `shard` over the eligible servers, with suspect
   // servers demoted to the back (skips counted and journaled).

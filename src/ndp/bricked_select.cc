@@ -17,20 +17,13 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-bool Straddles(double lo, double hi, std::span<const double> isovalues) {
-  for (const double iso : isovalues) {
-    if (lo < iso && hi >= iso) return true;
-  }
-  return false;
-}
-
 template <typename T>
 contour::Selection BrickedSelectT(const io::VndReader& reader,
                                   const std::string& array,
                                   const io::ArrayMeta& meta,
                                   std::span<const double> isovalues,
                                   BrickedSelectStats* stats,
-                                  const std::vector<std::int64_t>* only_bricks,
+                                  std::vector<std::int64_t> needed,
                                   const storage::QuarantineSet* quarantine,
                                   const std::string& quarantine_key) {
   const grid::Dims dims = reader.header().dims;
@@ -41,26 +34,7 @@ contour::Selection BrickedSelectT(const io::VndReader& reader,
   std::vector<std::pair<grid::PointId, T>> picked;
   BrickedSelectStats local;
   local.bricks_total = bgrid.BrickCount();
-
-  // Straddling bricks, ascending (== ascending blob offsets), optionally
-  // intersected with the sub-request's brick restriction (`only_bricks`
-  // is sorted, so the merge below stays a linear walk).
-  std::vector<std::int64_t> needed;
-  size_t restrict_cursor = 0;
-  for (std::int64_t b = 0; b < bgrid.BrickCount(); ++b) {
-    if (only_bricks != nullptr) {
-      while (restrict_cursor < only_bricks->size() &&
-             (*only_bricks)[restrict_cursor] < b) {
-        ++restrict_cursor;
-      }
-      if (restrict_cursor >= only_bricks->size() ||
-          (*only_bricks)[restrict_cursor] != b) {
-        continue;
-      }
-    }
-    const io::BrickEntry& entry = meta.bricks->entries[static_cast<size_t>(b)];
-    if (Straddles(entry.min, entry.max, isovalues)) needed.push_back(b);
-  }
+  // `needed` is ascending: brick ids order like their blob offsets.
   local.bricks_read = static_cast<std::int64_t>(needed.size());
 
   const compress::CodecPtr codec = compress::MakeCodec(meta.codec);
@@ -223,23 +197,53 @@ contour::Selection BrickedSelectT(const io::VndReader& reader,
 
 }  // namespace
 
+std::vector<std::int64_t> PlanBricks(
+    const io::ArrayMeta& meta, std::span<const double> isovalues,
+    const std::vector<std::int64_t>* restriction, std::int64_t resume_after) {
+  VIZNDP_CHECK_MSG(meta.bricks.has_value(),
+                   "array '" + meta.name + "' is not bricked");
+  const std::vector<io::BrickEntry>& entries = meta.bricks->entries;
+  const auto count = static_cast<std::int64_t>(entries.size());
+  std::vector<std::int64_t> plan;
+  const auto consider = [&](std::int64_t b) {
+    if (b <= resume_after || b >= count) return;
+    const io::BrickEntry& e = entries[static_cast<size_t>(b)];
+    for (const double iso : isovalues) {
+      if (e.min < iso && e.max >= iso) {
+        plan.push_back(b);
+        return;
+      }
+    }
+  };
+  if (restriction != nullptr) {
+    for (const std::int64_t b : *restriction) consider(b);
+  } else {
+    for (std::int64_t b = 0; b < count; ++b) consider(b);
+  }
+  return plan;
+}
+
 contour::Selection SelectInterestingPointsBricked(
     const io::VndReader& reader, const std::string& array,
     std::span<const double> isovalues, BrickedSelectStats* stats,
-    const std::vector<std::int64_t>* only_bricks,
+    const std::vector<std::int64_t>* planned,
     const storage::QuarantineSet* quarantine,
     const std::string& quarantine_key) {
   const io::ArrayMeta* meta = reader.header().Find(array);
   VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
   VIZNDP_CHECK_MSG(meta->bricks.has_value(),
                    "array '" + array + "' is not bricked");
+  std::vector<std::int64_t> bricks =
+      planned != nullptr ? *planned : PlanBricks(*meta, isovalues);
   switch (meta->type) {
     case grid::DataType::Float32:
       return BrickedSelectT<float>(reader, array, *meta, isovalues, stats,
-                                   only_bricks, quarantine, quarantine_key);
+                                   std::move(bricks), quarantine,
+                                   quarantine_key);
     case grid::DataType::Float64:
       return BrickedSelectT<double>(reader, array, *meta, isovalues, stats,
-                                    only_bricks, quarantine, quarantine_key);
+                                    std::move(bricks), quarantine,
+                                    quarantine_key);
     default:
       throw Error("selection requires a floating-point array");
   }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "contour/select.h"
 #include "io/vnd_format.h"
@@ -38,13 +39,27 @@ struct BrickedSelectStats {
 // Both events are counted in the stats and in obs::DefaultRegistry()
 // (corrupt_brick_total / brick_reread_total).
 //
-// Sharding: `only_bricks` (sorted, unique brick ids) restricts the scan
-// to those bricks — the sub-request shape of the scatter-gather cluster
-// client. The restricted selection equals the unrestricted one filtered
-// to points owned by (or on the ghost boundary of) the listed bricks, so
-// the union of selections over a partition of the brick space, with
-// boundary duplicates dropped by id, is exactly the full selection.
-// nullptr means "all bricks".
+// The brick plan: ids of `meta`'s bricks whose [min, max] straddles some
+// isovalue (iso in (min, max]), ascending, kept only if listed in the
+// sorted `restriction` (nullptr = every brick; ids past the brick count
+// name nothing) and strictly above `resume_after` (-1 = from the start).
+// The single source of the brick set: one-shot, streamed, resumed and
+// shard-restricted selects all read exactly these bricks, so a stream
+// resumed from cursor C on any replica covers the suffix of the plan
+// after C. Requires a bricked array.
+//
+// Sharding: the restricted selection equals the unrestricted one
+// filtered to points owned by (or on the ghost boundary of) the listed
+// bricks, so the union of selections over a partition of the brick
+// space, with boundary duplicates dropped by id, is exactly the full
+// selection.
+std::vector<std::int64_t> PlanBricks(
+    const io::ArrayMeta& meta, std::span<const double> isovalues,
+    const std::vector<std::int64_t>* restriction = nullptr,
+    std::int64_t resume_after = -1);
+
+// Reads, verifies and scans the `planned` bricks (a PlanBricks result or
+// any ascending slice of one; nullptr = PlanBricks(meta, isovalues)).
 //
 // Quarantine: bricks the scrubber flagged corrupt-at-rest (`quarantine`
 // keyed by `quarantine_key`) are excluded from the coalesced runs —
@@ -57,7 +72,7 @@ struct BrickedSelectStats {
 contour::Selection SelectInterestingPointsBricked(
     const io::VndReader& reader, const std::string& array,
     std::span<const double> isovalues, BrickedSelectStats* stats = nullptr,
-    const std::vector<std::int64_t>* only_bricks = nullptr,
+    const std::vector<std::int64_t>* planned = nullptr,
     const storage::QuarantineSet* quarantine = nullptr,
     const std::string& quarantine_key = {});
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <optional>
 
 #include "common/error.h"
@@ -11,7 +10,6 @@
 #include "obs/context.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
-#include "rpc/trace_wire.h"
 
 namespace vizndp::ndp {
 
@@ -38,178 +36,223 @@ contour::PolyData NdpFetcher::Contour(const std::string& key,
   return field.Contour(geometry, isovalues);
 }
 
-PartialFetch NdpClient::FetchPartial(const std::string& key,
-                                     const std::string& array,
-                                     const std::vector<double>& isovalues,
-                                     const std::vector<std::int64_t>* bricks) {
+namespace {
+
+// ndp.select's positional params. The restriction slot (index 5) is
+// present only when restricted or streamed — a stream always sends it,
+// possibly Nil, so the stream map lands at its fixed position 6.
+Array SelectParams(const std::string& bucket, const std::string& key,
+                   const std::string& array,
+                   const std::vector<double>& isovalues,
+                   SelectionEncoding encoding,
+                   const std::vector<std::int64_t>* only_bricks,
+                   const StreamParams* stream) {
   Array isos;
   for (const double v : isovalues) isos.emplace_back(v);
-  Array params{Value(bucket_), Value(key), Value(array),
-               Value(std::move(isos)),
-               Value(static_cast<std::uint64_t>(encoding_))};
-  if (bricks != nullptr) {
-    params.push_back(BrickRestrictionToValue(*bricks));
+  Array params{Value(bucket), Value(key), Value(array), Value(std::move(isos)),
+               Value(static_cast<std::uint64_t>(encoding))};
+  if (only_bricks != nullptr || stream != nullptr) {
+    params.push_back(only_bricks != nullptr
+                         ? BrickRestrictionToValue(*only_bricks)
+                         : Value());
   }
-  Value reply = client_->Call(kRpcNdpSelect, std::move(params), CallOpts());
-
-  PartialFetch out;
-  const auto& dims_v = reply.At("dims").As<Array>();
-  out.dims = grid::Dims{dims_v.at(0).AsInt(), dims_v.at(1).AsInt(),
-                        dims_v.at(2).AsInt()};
-  const auto& o = reply.At("origin").As<Array>();
-  const auto& s = reply.At("spacing").As<Array>();
-  out.geometry.origin = {o.at(0).AsDouble(), o.at(1).AsDouble(),
-                         o.at(2).AsDouble()};
-  out.geometry.spacing = {s.at(0).AsDouble(), s.at(1).AsDouble(),
-                          s.at(2).AsDouble()};
-  out.dtype = grid::DataTypeFromName(reply.At("dtype").As<std::string>());
-  const Bytes& payload = reply.At("payload").As<Bytes>();
-
-  obs::Span decode_span("ndp.decode");
-  out.selection = DecodeSelection(payload, out.dims);
-  decode_span.End();
-
-  out.stored_bytes = reply.At("stored_bytes").AsUint();
-  out.raw_bytes = reply.At("raw_bytes").AsUint();
-  out.payload_bytes = payload.size();
-  out.selected_points = reply.At("selected").AsUint();
-  out.total_points = reply.At("total_points").AsUint();
-  out.bricks_total = reply.At("bricks_total").AsInt();
-  out.bricks_read = reply.At("bricks_read").AsInt();
-  out.server_read_s = reply.At("read_s").AsDouble();
-  out.server_select_s = reply.At("select_s").AsDouble();
-  return out;
+  if (stream != nullptr) params.push_back(StreamParamsToValue(*stream));
+  return params;
 }
 
-msgpack::Value NdpClient::StreamSelectOnce(
-    const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues,
-    const std::vector<std::int64_t>* only_bricks, StreamAccumulator& acc,
-    const StreamDeliverFn& deliver) {
-  Array isos;
-  for (const double v : isovalues) isos.emplace_back(v);
-  Array params{Value(bucket_), Value(key), Value(array),
-               Value(std::move(isos)),
-               Value(static_cast<std::uint64_t>(encoding_))};
-  // The restriction slot (index 5) must be present — possibly Nil — so
-  // the stream map lands at its fixed position 6.
-  params.push_back(only_bricks != nullptr ? BrickRestrictionToValue(
-                                                *only_bricks)
-                                          : Value());
-  params.push_back(StreamParamsToValue(
-      StreamParams{stream_.chunk_bricks, acc.cursor}));
+// A one-shot reply's shape in stream-header form: what a stream's
+// header chunk would have said, covering the bricks the server read.
+StreamHeader HeaderFromReply(const Value& reply) {
+  StreamHeader h;
+  const auto& dims_v = reply.At("dims").As<Array>();
+  h.dims = grid::Dims{dims_v.at(0).AsInt(), dims_v.at(1).AsInt(),
+                      dims_v.at(2).AsInt()};
+  const auto& o = reply.At("origin").As<Array>();
+  const auto& s = reply.At("spacing").As<Array>();
+  for (size_t i = 0; i < 3; ++i) {
+    h.origin[i] = o.at(i).AsDouble();
+    h.spacing[i] = s.at(i).AsDouble();
+  }
+  h.dtype = grid::DataTypeFromName(reply.At("dtype").As<std::string>());
+  h.bricks_total = reply.At("bricks_total").AsInt();
+  h.stream_bricks = reply.At("bricks_read").AsInt();
+  h.total_points = static_cast<std::int64_t>(reply.At("total_points").AsUint());
+  return h;
+}
 
+bool SameGrid(const StreamHeader& a, const StreamHeader& b) {
+  return a.dims.nx == b.dims.nx && a.dims.ny == b.dims.ny &&
+         a.dims.nz == b.dims.nz && a.dtype == b.dtype;
+}
+
+// The first reply's header stays authoritative (a resumed stream's
+// stream_bricks counts only its tail), but every later one must describe
+// the same grid — a replica with different data is corruption, not
+// recovery.
+void AcceptHeader(const StreamHeader& h, SelectAccumulator& acc) {
+  if (!acc.got_header) {
+    acc.got_header = true;
+    acc.header = h;
+  } else if (!SameGrid(h, acc.header)) {
+    throw DecodeError("stream resume: header shape mismatch");
+  }
+}
+
+// The server's summary of one reply — a stream's terminal or a one-shot
+// reply. A resumed stream keeps its last attempt's.
+void FoldSummary(const Value& terminal, SelectAccumulator& acc) {
+  acc.stored_bytes = terminal.At("stored_bytes").AsUint();
+  acc.raw_bytes = terminal.At("raw_bytes").AsUint();
+  acc.bricks_read = terminal.At("bricks_read").AsInt();
+  acc.server_read_s = terminal.At("read_s").AsDouble();
+  acc.server_select_s = terminal.At("select_s").AsDouble();
+}
+
+}  // namespace
+
+grid::UniformGeometry SelectAccumulator::geometry() const {
+  grid::UniformGeometry g;
+  g.origin = {header.origin[0], header.origin[1], header.origin[2]};
+  g.spacing = {header.spacing[0], header.spacing[1], header.spacing[2]};
+  return g;
+}
+
+void SelectAccumulator::AddTo(NdpLoadStats& stats) const {
+  stats.stored_bytes += stored_bytes;
+  stats.raw_bytes = std::max(stats.raw_bytes, raw_bytes);
+  stats.payload_bytes += payload_bytes;
+  // Approximate frame bytes: payload dominates; metadata is ~200 B per
+  // frame (a stream adds its header and terminal frames).
+  stats.reply_bytes += payload_bytes + 256 * (stats.streamed ? chunks + 2 : 1);
+  stats.total_points = std::max(
+      stats.total_points, static_cast<std::uint64_t>(header.total_points));
+  stats.bricks_total = std::max(stats.bricks_total, header.bricks_total);
+  stats.bricks_read += bricks_read;
+  stats.server_read_s = std::max(stats.server_read_s, server_read_s);
+  stats.server_select_s = std::max(stats.server_select_s, server_select_s);
+  stats.client_decode_s += decode_s;
+  if (stats.streamed) {
+    stats.stream_chunks += chunks;
+    stats.stream_resumes += resumes;
+    stats.stream_cancelled = stats.stream_cancelled || cancelled;
+  }
+}
+
+void FieldMerge::Scatter(const StreamHeader& header,
+                         const DecodedSelection& sel, const char* span) {
+  std::lock_guard lk(mu_);
+  obs::Span scatter_span(span);
+  if (!field_.has_value()) {
+    header_ = header;
+    field_.emplace(header.dims, header.dtype);
+  } else if (!SameGrid(header, header_)) {
+    throw Error("shards disagree on dataset shape — mixed replicas?");
+  }
+  field_->Scatter(sel.ids, sel.values);
+  scatter_span.End();
+  scatter_s_ += scatter_span.ElapsedSeconds();
+}
+
+contour::SparseField FieldMerge::Take(const StreamHeader& header) {
+  std::lock_guard lk(mu_);
+  if (!field_.has_value()) return contour::SparseField(header.dims, header.dtype);
+  return std::move(*field_);
+}
+
+double FieldMerge::scatter_s() const {
+  std::lock_guard lk(mu_);
+  return scatter_s_;
+}
+
+void NdpClient::FoldPayload(ByteSpan payload, std::int64_t bricks,
+                            obs::Span& decode_span, SelectAccumulator& acc,
+                            const DeliverFn& deliver) {
+  DecodedSelection sel = DecodeSelection(payload, acc.header.dims);
+  decode_span.End();
+  acc.decode_s += decode_span.ElapsedSeconds();
+  acc.chunks += 1;
+  acc.bricks_done += bricks;
+  acc.shipped_points += sel.ids.size();
+  acc.payload_bytes += payload.size();
+  deliver(std::move(sel));
+  if (progress_) {
+    progress_(StreamProgress{acc.chunks, acc.bricks_done,
+                             acc.header.stream_bricks, acc.shipped_points,
+                             acc.resumes});
+  }
+}
+
+void NdpClient::FoldReply(const Value& reply, SelectAccumulator& acc,
+                          const DeliverFn& deliver) {
+  obs::Span decode_span("ndp.decode");
+  AcceptHeader(HeaderFromReply(reply), acc);
+  FoldSummary(reply, acc);
+  FoldPayload(reply.At("payload").As<Bytes>(), reply.At("bricks_read").AsInt(),
+              decode_span, acc, deliver);
+}
+
+void NdpClient::StreamOnce(const std::string& key, const std::string& array,
+                           const std::vector<double>& isovalues,
+                           const std::vector<std::int64_t>* only_bricks,
+                           SelectAccumulator& acc, const DeliverFn& deliver) {
+  const StreamParams sp{stream_.chunk_bricks, acc.cursor};
   StreamDecoder decoder(acc.cursor);
   rpc::Client::StreamCallOptions copts;
   copts.timeout = options_.call_timeout;
   copts.chunk_timeout = stream_.chunk_timeout;
   bool cancelled = false;
   const Value terminal = client_->CallStreaming(
-      kRpcNdpSelect, std::move(params), copts,
-      [&](const msgpack::Value& chunk_map) -> bool {
+      kRpcNdpSelect,
+      SelectParams(bucket_, key, array, isovalues, encoding_, only_bricks, &sp),
+      copts,
+      [&](const Value& chunk_map) -> bool {
         obs::Span decode_span("ndp.decode");
         const std::optional<StreamChunk> data = decoder.Feed(chunk_map);
         if (!data.has_value()) {
-          // Header. On a resume the stream restarts with a fresh header;
-          // the original stays authoritative (its stream_bricks is the
-          // full stream's size, for progress), but the grid shape must
-          // agree — a replica describing different data is corruption,
-          // not recovery.
-          const StreamHeader& h = decoder.header();
-          if (acc.got_header) {
-            if (h.dims.nx != acc.header.dims.nx ||
-                h.dims.ny != acc.header.dims.ny ||
-                h.dims.nz != acc.header.dims.nz ||
-                h.dtype != acc.header.dtype) {
-              throw DecodeError("stream resume: header shape mismatch");
-            }
-          } else {
-            acc.got_header = true;
-            acc.header = h;
-          }
+          AcceptHeader(decoder.header(), acc);
           decode_span.End();
           acc.decode_s += decode_span.ElapsedSeconds();
           return true;
         }
         if (cancel_ && cancel_()) return false;
-        const DecodedSelection sel =
-            DecodeSelection(data->payload, acc.header.dims);
-        decode_span.End();
-        acc.decode_s += decode_span.ElapsedSeconds();
-        obs::Span scatter_span("ndp.scatter");
-        deliver(sel);
-        scatter_span.End();
-        acc.scatter_s += scatter_span.ElapsedSeconds();
+        FoldPayload(data->payload, data->bricks, decode_span, acc, deliver);
         acc.cursor = data->cursor;
-        acc.chunks += 1;
-        acc.bricks_done += data->bricks;
-        acc.shipped_points += sel.ids.size();
-        acc.payload_bytes += data->payload.size();
-        if (progress_) {
-          progress_(StreamProgress{acc.chunks, acc.bricks_done,
-                                   acc.header.stream_bricks,
-                                   acc.shipped_points, acc.resumes});
-        }
         return true;
       },
       &cancelled);
   if (cancelled) {
     acc.cancelled = true;
-    return Value();
-  }
-  if (decoder.got_header()) {
+  } else if (!decoder.got_header()) {
+    // A one-shot reply: an unbricked array, or a pre-streaming server.
+    // After a resume it re-covers bricks already delivered, which the
+    // duplicate-invariant Scatter absorbs.
+    FoldReply(terminal, acc, deliver);
+  } else {
     decoder.Finish();
-    return terminal;
+    FoldSummary(terminal, acc);
   }
-  // Monolithic degradation: a pre-streaming server (or an unbricked
-  // array) answered with the ordinary reply and zero chunk frames.
-  // Deliver the whole payload as one pseudo-chunk — after a resume this
-  // re-covers bricks already scattered, which the duplicate-invariant
-  // Scatter absorbs.
-  obs::Span decode_span("ndp.decode");
-  const auto& dims_v = terminal.At("dims").As<Array>();
-  StreamHeader h;
-  h.dims = grid::Dims{dims_v.at(0).AsInt(), dims_v.at(1).AsInt(),
-                      dims_v.at(2).AsInt()};
-  const auto& o = terminal.At("origin").As<Array>();
-  const auto& s = terminal.At("spacing").As<Array>();
-  for (int i = 0; i < 3; ++i) {
-    h.origin[i] = o.at(static_cast<size_t>(i)).AsDouble();
-    h.spacing[i] = s.at(static_cast<size_t>(i)).AsDouble();
-  }
-  h.dtype = grid::DataTypeFromName(terminal.At("dtype").As<std::string>());
-  h.bricks_total = terminal.At("bricks_total").AsInt();
-  h.stream_bricks = terminal.At("bricks_read").AsInt();
-  h.total_points =
-      static_cast<std::int64_t>(terminal.At("total_points").AsUint());
-  if (!acc.got_header) {
-    acc.got_header = true;
-    acc.header = h;
-  }
-  const Bytes& payload = terminal.At("payload").As<Bytes>();
-  const DecodedSelection sel = DecodeSelection(payload, acc.header.dims);
-  decode_span.End();
-  acc.decode_s += decode_span.ElapsedSeconds();
-  obs::Span scatter_span("ndp.scatter");
-  deliver(sel);
-  scatter_span.End();
-  acc.scatter_s += scatter_span.ElapsedSeconds();
-  acc.chunks += 1;
-  acc.bricks_done += terminal.At("bricks_read").AsInt();
-  acc.shipped_points += sel.ids.size();
-  acc.payload_bytes += payload.size();
-  return terminal;
 }
 
-msgpack::Value NdpClient::StreamSelect(
-    const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues,
-    const std::vector<std::int64_t>* only_bricks, StreamAccumulator& acc,
-    const StreamDeliverFn& deliver) {
+void NdpClient::Select(const std::string& key, const std::string& array,
+                       const std::vector<double>& isovalues,
+                       const std::vector<std::int64_t>* only_bricks,
+                       bool streamed, SelectAccumulator& acc,
+                       const DeliverFn& deliver) {
+  obs::Span span("ndp.partial");
+  if (!streamed) {
+    const Value reply = client_->Call(
+        kRpcNdpSelect,
+        SelectParams(bucket_, key, array, isovalues, encoding_, only_bricks,
+                     nullptr),
+        CallOpts());
+    span.End();
+    FoldReply(reply, acc, deliver);
+    return;
+  }
   for (int attempt = 0;; ++attempt) {
     try {
-      return StreamSelectOnce(key, array, isovalues, only_bricks, acc,
-                              deliver);
+      StreamOnce(key, array, isovalues, only_bricks, acc, deliver);
+      return;
     } catch (const Error& e) {
       // Resumable: the stream died (deadline, stall, peer gone, a
       // transient I/O blip) but the cursor survived. Anything else —
@@ -234,64 +277,14 @@ msgpack::Value NdpClient::StreamSelect(
   }
 }
 
-contour::SparseField NdpClient::FetchSparseFieldStreaming(
-    const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
-    NdpLoadStats* stats) {
-  obs::Span total_span("ndp.fetch");
-  std::optional<contour::SparseField> field;
-  StreamAccumulator acc;
-  obs::Span rpc_span("ndp.partial");
-  const Value terminal =
-      StreamSelect(key, array, isovalues, nullptr, acc,
-                   [&](const DecodedSelection& sel) {
-                     if (!field.has_value()) {
-                       field.emplace(acc.header.dims, acc.header.dtype);
-                     }
-                     field->Scatter(sel.ids, sel.values);
-                   });
-  rpc_span.End();
-  VIZNDP_CHECK_MSG(acc.got_header,
-                   "stream produced neither header nor data");
-  if (!field.has_value()) {
-    // Zero-chunk stream: no straddling bricks (or cancelled before any
-    // data) — a legitimately empty selection.
-    field.emplace(acc.header.dims, acc.header.dtype);
-  }
-  if (geometry != nullptr) {
-    geometry->origin = {acc.header.origin[0], acc.header.origin[1],
-                        acc.header.origin[2]};
-    geometry->spacing = {acc.header.spacing[0], acc.header.spacing[1],
-                         acc.header.spacing[2]};
-  }
-  if (stats != nullptr) {
-    stats->trace_id = obs::CurrentTraceContext().trace_id;
-    stats->streamed = true;
-    stats->stream_cancelled = acc.cancelled;
-    stats->stream_chunks = acc.chunks;
-    stats->stream_resumes = acc.resumes;
-    stats->payload_bytes = acc.payload_bytes;
-    stats->reply_bytes = acc.payload_bytes + 256 * (acc.chunks + 2);
-    // Deduplicated: chunk halos may ship boundary points twice.
-    stats->selected_points = static_cast<std::uint64_t>(field->ValidCount());
-    stats->total_points =
-        static_cast<std::uint64_t>(acc.header.total_points);
-    stats->bricks_total = acc.header.bricks_total;
-    // Terminal summary (absent after a cancel — the stream never
-    // finished, so only client-side accounting exists).
-    if (terminal.Is<msgpack::Map>()) {
-      stats->stored_bytes = terminal.At("stored_bytes").AsUint();
-      stats->raw_bytes = terminal.At("raw_bytes").AsUint();
-      stats->bricks_read = terminal.At("bricks_read").AsInt();
-      stats->server_read_s = terminal.At("read_s").AsDouble();
-      stats->server_select_s = terminal.At("select_s").AsDouble();
-    }
-    stats->client_decode_s = acc.decode_s;
-    stats->client_scatter_s = acc.scatter_s;
-    total_span.End();
-    stats->client_s = total_span.ElapsedSeconds();
-  }
-  return std::move(*field);
+PartialFetch NdpClient::FetchPartial(const std::string& key,
+                                     const std::string& array,
+                                     const std::vector<double>& isovalues,
+                                     const std::vector<std::int64_t>* bricks) {
+  PartialFetch out;
+  Select(key, array, isovalues, bricks, /*streamed=*/false, out.acc,
+         [&](DecodedSelection&& sel) { out.selection = std::move(sel); });
+  return out;
 }
 
 contour::SparseField NdpClient::FetchSparseField(
@@ -307,37 +300,23 @@ contour::SparseField NdpClient::FetchSparseField(
   if (obs::GlobalTracer().enabled() && !obs::CurrentTraceContext().valid()) {
     root.emplace(obs::TraceContext::Mint(/*sampled=*/true));
   }
-  if (stream_.chunk_bricks > 0) {
-    return FetchSparseFieldStreaming(key, array, isovalues, geometry, stats);
-  }
   obs::Span total_span("ndp.fetch");
-
-  obs::Span rpc_span("ndp.partial");
-  PartialFetch partial = FetchPartial(key, array, isovalues, nullptr);
-  rpc_span.End();
-  const double decode_s = rpc_span.ElapsedSeconds();  // incl. RPC wait
-  if (geometry != nullptr) *geometry = partial.geometry;
-
-  contour::SparseField field(partial.dims, partial.dtype);
-  obs::Span scatter_span("ndp.scatter");
-  field.Scatter(partial.selection.ids, partial.selection.values);
-  scatter_span.End();
-
+  const bool streamed = stream_.chunk_bricks > 0;
+  SelectAccumulator acc;
+  FieldMerge merge;
+  Select(key, array, isovalues, nullptr, streamed, acc,
+         [&](DecodedSelection&& sel) { merge.Scatter(acc.header, sel); });
+  VIZNDP_CHECK_MSG(acc.got_header, "select produced neither header nor data");
+  contour::SparseField field = merge.Take(acc.header);
+  if (geometry != nullptr) *geometry = acc.geometry();
   if (stats != nullptr) {
+    *stats = NdpLoadStats{};
     stats->trace_id = obs::CurrentTraceContext().trace_id;
-    stats->stored_bytes = partial.stored_bytes;
-    stats->raw_bytes = partial.raw_bytes;
-    stats->payload_bytes = partial.payload_bytes;
-    // Approximate full frame size: payload dominates; metadata is ~200 B.
-    stats->reply_bytes = partial.payload_bytes + 256;
-    stats->selected_points = partial.selected_points;
-    stats->total_points = partial.total_points;
-    stats->bricks_total = partial.bricks_total;
-    stats->bricks_read = partial.bricks_read;
-    stats->server_read_s = partial.server_read_s;
-    stats->server_select_s = partial.server_select_s;
-    stats->client_decode_s = decode_s;
-    stats->client_scatter_s = scatter_span.ElapsedSeconds();
+    stats->streamed = streamed;
+    acc.AddTo(*stats);
+    // Deduplicated: stream chunks may ship boundary points twice.
+    stats->selected_points = static_cast<std::uint64_t>(field.ValidCount());
+    stats->client_scatter_s = merge.scatter_s();
     total_span.End();
     stats->client_s = total_span.ElapsedSeconds();
   }
@@ -420,40 +399,6 @@ std::string NdpClient::ScrapeMetricsFormatted(const std::string& format) {
   const Value reply =
       client_->Call(kRpcNdpMetrics, Array{Value(format)}, CallOpts());
   return reply.As<std::string>();
-}
-
-size_t NdpClient::ScrapeTrace(std::uint64_t trace_id) {
-  Array params;
-  if (trace_id != 0) params.emplace_back(trace_id);
-  const Value reply =
-      client_->Call(kRpcNdpTrace, std::move(params), CallOpts());
-  const std::vector<obs::DrainedEvent> events = rpc::EventsFromValue(reply);
-  if (events.empty()) return 0;
-
-  // The server clock is a foreign steady_clock domain. Shift its events
-  // so the newest one ends at the local "now": the scrape happens right
-  // after the traced work, so nesting and relative timing stay readable.
-  // (Spans that arrived through a reply piggyback instead get the real
-  // midpoint clock alignment — see obs/trace_merge.h.)
-  std::uint64_t min_start = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max_end = 0;
-  for (const obs::DrainedEvent& e : events) {
-    min_start = std::min(min_start, e.start_us);
-    max_end = std::max(max_end, e.start_us + e.dur_us);
-  }
-  obs::Tracer& tracer = obs::GlobalTracer();
-  const std::uint64_t span_len = max_end - min_start;
-  const std::uint64_t now = tracer.NowMicros();
-  const std::uint64_t base = now > span_len ? now - span_len : 0;
-  for (const obs::DrainedEvent& e : events) {
-    obs::Tracer::SpanIds ids;
-    ids.trace_id = e.trace_id;
-    ids.span_id = e.span_id;
-    ids.parent_span_id = e.parent_span_id;
-    tracer.Inject(e.track, e.name, base + (e.start_us - min_start), e.dur_us,
-                  ids);
-  }
-  return events.size();
 }
 
 NdpClient::HealthReport NdpClient::Health(std::uint64_t view_epoch) {

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "contour/polydata.h"
@@ -13,6 +14,7 @@
 #include "ndp/protocol.h"
 #include "net/retry.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pipeline/algorithm.h"
 #include "rpc/client.h"
 #include "storage/file_gateway.h"
@@ -33,7 +35,7 @@ struct NdpClientOptions {
 };
 
 // Streaming-fetch knobs (protocol.h stream shape). chunk_bricks == 0
-// keeps the monolithic path; > 0 asks the server for per-brick-batch
+// keeps the one-shot reply; > 0 asks the server for per-brick-batch
 // chunk frames, scattered into the sparse field as they arrive.
 struct StreamOptions {
   std::int64_t chunk_bricks = 0;
@@ -49,8 +51,8 @@ struct StreamOptions {
   int max_resumes = 4;
 };
 
-// Live progress of one streaming fetch, delivered per chunk to
-// NdpClient::SetStreamProgress (vizndp_tool's progress line).
+// Live progress of one fetch, delivered per chunk (a one-shot reply is
+// one) to NdpClient::SetStreamProgress (vizndp_tool's progress line).
 struct StreamProgress {
   std::uint64_t chunks = 0;
   std::int64_t bricks_done = 0;
@@ -59,25 +61,6 @@ struct StreamProgress {
   std::uint64_t resumes = 0;
 };
 using StreamProgressFn = std::function<void(const StreamProgress&)>;
-
-// One logical stream's state across resume attempts and (in the
-// sharded client) replica hops. The cursor is the resume token: chunks
-// already scattered are never re-requested, and the order/duplicate-
-// invariant SparseField::Scatter makes re-delivered ghost points
-// harmless, so any mix of nodes reconstructs the same field.
-struct StreamAccumulator {
-  std::int64_t cursor = -1;  // last brick id scattered
-  bool got_header = false;
-  bool cancelled = false;  // client-initiated cancel was acknowledged
-  StreamHeader header;     // first attempt's header (authoritative)
-  std::uint64_t chunks = 0;
-  std::uint64_t resumes = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint64_t shipped_points = 0;  // incl. ghost duplicates
-  std::int64_t bricks_done = 0;
-  double decode_s = 0;
-  double scatter_s = 0;
-};
 
 // Per-phase accounting of one NDP data load (the paper's "data load
 // time" for NDP runs = read + decompress + filter + transfer).
@@ -96,12 +79,13 @@ struct NdpLoadStats {
   double server_read_s = 0;    // measured on the server (incl. decompress)
   double server_select_s = 0;  // measured on the server
   double client_s = 0;         // RPC round trip + decode + scatter
-  double client_decode_s = 0;  // payload decode ("ndp.decode" span)
-  double client_scatter_s = 0; // sparse-field scatter ("ndp.scatter" span)
+  double client_decode_s = 0;  // payload decode ("ndp.decode" spans)
+  // Sparse-field build + scatter ("ndp.scatter" / "cluster.merge" spans).
+  double client_scatter_s = 0;
   // True when the NDP path was unreachable and NdpContourSource served
   // this load through the baseline full-array read instead.
   bool used_fallback = false;
-  // Streaming-fetch accounting (all zero on monolithic loads).
+  // Streaming-fetch accounting (all zero on one-shot loads).
   bool streamed = false;
   bool stream_cancelled = false;
   std::uint64_t stream_chunks = 0;
@@ -115,6 +99,66 @@ struct NdpLoadStats {
                              : static_cast<double>(selected_points) /
                                    static_cast<double>(total_points);
   }
+};
+
+// Everything one ndp.select has delivered so far — a one-shot reply, or
+// a stream across resume attempts and (in the sharded client) replica
+// hops; the one per-shard result type. The cursor is the resume token:
+// chunks already delivered are never re-requested, and the order- and
+// duplicate-invariant SparseField::Scatter makes re-delivered ghost
+// points harmless, so any mix of nodes reconstructs the same field.
+struct SelectAccumulator {
+  std::int64_t cursor = -1;  // last brick id delivered by a stream
+  bool got_header = false;
+  bool cancelled = false;  // client-initiated cancel was acknowledged
+  StreamHeader header;     // first reply's shape (authoritative)
+  std::uint64_t chunks = 0;  // deliveries (a one-shot reply is one)
+  std::uint64_t resumes = 0;
+  std::uint64_t payload_bytes = 0;
+  std::uint64_t shipped_points = 0;  // incl. ghost duplicates
+  std::int64_t bricks_done = 0;
+  double decode_s = 0;  // the select's "ndp.decode" spans, summed
+  // Server-side summary of the last reply (zero after a cancel).
+  std::uint64_t stored_bytes = 0;
+  std::uint64_t raw_bytes = 0;
+  std::int64_t bricks_read = 0;
+  double server_read_s = 0;
+  double server_select_s = 0;
+
+  grid::UniformGeometry geometry() const;
+
+  // The one stats fold: byte and brick counts sum, sizes and server
+  // phase times take the max (shards run in parallel), so folding a lone
+  // server's accumulator is a copy. Stream counters fold only into a
+  // load marked streamed.
+  void AddTo(NdpLoadStats& stats) const;
+};
+
+// Scatter target of one fetch: the sparse field, built on the first
+// delivery from that reply's header and fed by every delivery — a lone
+// server's reply or chunks, each shard's, a hedge race's winner, the
+// rescue. Thread-safe; SparseField::Scatter is order- and
+// duplicate-invariant, so interleaved deliveries reconstruct the same
+// field.
+class FieldMerge {
+ public:
+  // Scatters `sel` under a span named `span`. Throws when `header`
+  // describes another grid than the first delivery (mixed replicas).
+  void Scatter(const StreamHeader& header, const DecodedSelection& sel,
+               const char* span = "ndp.scatter");
+
+  // The merged field; an empty one shaped by `header` when nothing was
+  // delivered (no straddling bricks, or a cancel before any data).
+  contour::SparseField Take(const StreamHeader& header);
+
+  // Seconds spent in Scatter spans (field construction included).
+  double scatter_s() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::optional<contour::SparseField> field_;
+  StreamHeader header_;
+  double scatter_s_ = 0;
 };
 
 // What NdpContourSource (and any other consumer of the split pipeline)
@@ -139,25 +183,11 @@ class NdpFetcher {
                             NdpLoadStats* stats = nullptr);
 };
 
-// One shard's (or the single server's) reply to a — possibly
-// brick-restricted — ndp.select, decoded but not yet scattered. The
-// sharded client merges several of these into one SparseField; the
-// plain client scatters exactly one.
+// A one-shot ndp.select's outcome, decoded but not yet scattered: what a
+// hedged shard race holds until it knows its winner.
 struct PartialFetch {
-  grid::Dims dims;
-  grid::UniformGeometry geometry;
-  grid::DataType dtype = grid::DataType::Float32;
+  SelectAccumulator acc;
   DecodedSelection selection;
-  // Server-side accounting, summed/merged into NdpLoadStats.
-  std::uint64_t stored_bytes = 0;
-  std::uint64_t raw_bytes = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint64_t selected_points = 0;
-  std::uint64_t total_points = 0;
-  std::int64_t bricks_total = 0;
-  std::int64_t bricks_read = 0;
-  double server_read_s = 0;
-  double server_select_s = 0;
 };
 
 class NdpClient : public NdpFetcher {
@@ -170,42 +200,49 @@ class NdpClient : public NdpFetcher {
   SelectionEncoding encoding() const { return encoding_; }
 
   // Streaming mode: chunk_bricks > 0 turns FetchSparseField into a
-  // chunked fetch with mid-stream recovery (see StreamSelect).
+  // chunked fetch with mid-stream recovery (see Select).
   void SetStream(const StreamOptions& options) { stream_ = options; }
   const StreamOptions& stream() const { return stream_; }
 
-  // Per-chunk progress callback (streaming fetches only). Called on the
-  // fetch thread; keep it cheap.
+  // Per-delivery progress callback. Called on the fetch thread; keep it
+  // cheap.
   void SetStreamProgress(StreamProgressFn fn) { progress_ = std::move(fn); }
 
   // Client-side cancellation hook: polled before each data chunk is
-  // scattered; returning true sends the cancel frame and ends the fetch
-  // with whatever already arrived (StreamAccumulator::cancelled set,
+  // delivered; returning true sends the cancel frame and ends the fetch
+  // with whatever already arrived (SelectAccumulator::cancelled set,
   // NdpLoadStats::stream_cancelled on the load).
   void SetStreamCancel(std::function<bool()> fn) { cancel_ = std::move(fn); }
 
-  // Chunks scattered by StreamSelect are handed to this callback; the
-  // accumulator's header has always arrived by the first call.
-  using StreamDeliverFn = std::function<void(const DecodedSelection&)>;
+  // Receives each decoded payload of a Select; the accumulator's header
+  // has always arrived by the first call.
+  using DeliverFn = std::function<void(DecodedSelection&&)>;
 
-  // One streaming ndp.select with mid-stream recovery against this
-  // node: issues the call with the accumulator's cursor, delivers each
-  // decoded data chunk, and on TimeoutError / StreamStallError /
-  // PeerClosedError / TransientIoError re-issues the call with
-  // resume_after=<cursor> (ndp_stream_resume_total / ndp.stream_resume
-  // per attempt, up to stream().max_resumes) — chunks already delivered
-  // are never refetched. Other errors, and an exhausted resume budget,
-  // propagate (ShardedNdpClient then hops to the next replica with the
-  // same accumulator). Returns the terminal summary map; a monolithic
-  // reply (pre-streaming server, unbricked array) is delivered as one
-  // pseudo-chunk and returned as-is; a client-initiated cancel returns
-  // Nil with acc.cancelled set.
-  msgpack::Value StreamSelect(const std::string& key,
-                              const std::string& array,
-                              const std::vector<double>& isovalues,
-                              const std::vector<std::int64_t>* only_bricks,
-                              StreamAccumulator& acc,
-                              const StreamDeliverFn& deliver);
+  // One ndp.select against this node, restricted to `only_bricks`
+  // (sorted brick ids; nullptr = whole array), folded into `acc`: every
+  // decoded payload goes to `deliver`, the server's summary into the
+  // accumulator. One-shot (`streamed` false) goes through rpc::Client::
+  // Call and its idempotent retry ladder. Streamed asks for chunks of
+  // stream().chunk_bricks bricks from the accumulator's cursor and, on
+  // TimeoutError / StreamStallError / PeerClosedError /
+  // TransientIoError, re-issues the call with resume_after=<cursor>
+  // (ndp_stream_resume_total / ndp.stream_resume per attempt, up to
+  // stream().max_resumes) — chunks already delivered are never
+  // refetched. Other errors, and an exhausted resume budget, propagate
+  // (ShardedNdpClient then hops to the next replica with the same
+  // accumulator). A one-shot reply to a streamed request (unbricked
+  // array, pre-streaming server) folds as one delivery; a
+  // client-initiated cancel returns with acc.cancelled set.
+  void Select(const std::string& key, const std::string& array,
+              const std::vector<double>& isovalues,
+              const std::vector<std::int64_t>* only_bricks, bool streamed,
+              SelectAccumulator& acc, const DeliverFn& deliver);
+
+  // One-shot Select holding the decoded selection instead of delivering
+  // it — the hedged scatter-gather sub-request.
+  PartialFetch FetchPartial(const std::string& key, const std::string& array,
+                            const std::vector<double>& isovalues,
+                            const std::vector<std::int64_t>* only_bricks);
 
   // Runs the pre-filter remotely and reconstructs the sparse field.
   // Grid geometry comes back in the reply. `stats` may be null.
@@ -214,13 +251,6 @@ class NdpClient : public NdpFetcher {
                                         const std::vector<double>& isovalues,
                                         grid::UniformGeometry* geometry,
                                         NdpLoadStats* stats = nullptr) override;
-
-  // One ndp.select round trip, optionally restricted to `only_bricks`
-  // (sorted brick ids; nullptr = whole array): the scatter-gather
-  // sub-request. Returns the decoded but unscattered selection.
-  PartialFetch FetchPartial(const std::string& key, const std::string& array,
-                            const std::vector<double>& isovalues,
-                            const std::vector<std::int64_t>* only_bricks);
 
   // Near-data array statistics (ndp.stats): only the histogram crosses
   // the network, never the array.
@@ -269,17 +299,6 @@ class NdpClient : public NdpFetcher {
   // Same scrape rendered server-side ("text", "json", or "prom" —
   // Prometheus exposition), for dashboards that want bytes, not values.
   std::string ScrapeMetricsFormatted(const std::string& format);
-
-  // Drains the storage node's span buffer over the ndp.trace RPC and
-  // merges the events into the local process tracer (for two-process
-  // setups; sampled requests already piggyback their own spans on the
-  // reply, so this catches only material outside any traced request). A
-  // nonzero `trace_id` pulls just that trace. Server timestamps live in
-  // a foreign clock domain, so they are shifted to end at the local
-  // "now" — good enough to read phase nesting, not a cross-node clock
-  // sync (piggybacked spans get the real midpoint alignment instead).
-  // Returns the event count.
-  size_t ScrapeTrace(std::uint64_t trace_id = 0);
 
   // ndp.health scrape: what the storage node is doing right now.
   struct HealthReport {
@@ -341,19 +360,22 @@ class NdpClient : public NdpFetcher {
     return rpc::CallOptions{options_.call_timeout, /*idempotent=*/true};
   }
 
-  // One CallStreaming attempt feeding the accumulator from its current
-  // cursor; throws on any mid-stream failure (StreamSelect resumes).
-  msgpack::Value StreamSelectOnce(const std::string& key,
-                                  const std::string& array,
-                                  const std::vector<double>& isovalues,
-                                  const std::vector<std::int64_t>* only_bricks,
-                                  StreamAccumulator& acc,
-                                  const StreamDeliverFn& deliver);
+  // One CallStreaming attempt feeding the accumulator from its cursor;
+  // throws on any mid-stream failure (Select resumes).
+  void StreamOnce(const std::string& key, const std::string& array,
+                  const std::vector<double>& isovalues,
+                  const std::vector<std::int64_t>* only_bricks,
+                  SelectAccumulator& acc, const DeliverFn& deliver);
 
-  contour::SparseField FetchSparseFieldStreaming(
-      const std::string& key, const std::string& array,
-      const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
-      NdpLoadStats* stats);
+  // The fold: decodes one payload under an "ndp.decode" span that
+  // `decode_span` already opened, delivers it, and accounts it.
+  void FoldPayload(ByteSpan payload, std::int64_t bricks,
+                   obs::Span& decode_span, SelectAccumulator& acc,
+                   const DeliverFn& deliver);
+
+  // Folds a one-shot reply map (header, summary and payload).
+  void FoldReply(const msgpack::Value& reply, SelectAccumulator& acc,
+                 const DeliverFn& deliver);
 
   std::shared_ptr<rpc::Client> client_;
   std::string bucket_;

@@ -15,7 +15,6 @@
 #include "obs/event_log.h"
 #include "obs/trace.h"
 #include "obs/windowed.h"
-#include "rpc/trace_wire.h"
 
 namespace vizndp::ndp {
 
@@ -104,10 +103,15 @@ msgpack::Value NdpServer::Select(const std::string& key,
                                  const std::string& array,
                                  const std::vector<double>& isovalues,
                                  SelectionEncoding encoding,
-                                 const std::vector<std::int64_t>* only_bricks) {
-  obs::Span total_span("ndp.select");
+                                 const std::vector<std::int64_t>* only_bricks,
+                                 const StreamParams* stream,
+                                 rpc::StreamSink* sink) {
+  const bool streamed = stream != nullptr && sink != nullptr;
+  obs::Span total_span(streamed ? "ndp.select.stream" : "ndp.select");
+  if (streamed) metrics_.GetCounter("ndp_stream_requests_total").Increment();
   const io::VndReader reader(gateway_.Open(key));
-  const io::ArrayMeta* meta = reader.header().Find(array);
+  const io::VndHeader& h = reader.header();
+  const io::ArrayMeta* meta = h.Find(array);
   VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
   if (only_bricks != nullptr) {
     VIZNDP_CHECK_MSG(meta->bricks.has_value(),
@@ -119,113 +123,223 @@ msgpack::Value NdpServer::Select(const std::string& key,
         "brick restriction id out of range for '" + array + "'");
     metrics_.GetCounter("ndp_restricted_select_total").Increment();
   }
+  // An unbricked array has no brick-id cursor space to chunk over, so a
+  // streamed request for one degrades to the one-shot reply (zero chunk
+  // frames — the client accepts it as the degraded form of a stream).
+  const bool one_shot = !streamed || !meta->bricks.has_value();
 
-  // Admission by working-set size: the decompressed array bounds this
-  // request's memory high-water mark. Throws BusyError (always
+  // One-shot admission by working-set size: the decompressed array bounds
+  // the request's memory high-water mark. Throws BusyError (always
   // retryable — nothing has been read yet) when the node is saturated.
+  // A stream instead reserves per batch, below.
   rpc::MemoryBudget::Reservation reservation;
-  if (mem_budget_ != nullptr) {
+  if (mem_budget_ != nullptr && one_shot) {
     reservation = rpc::MemoryBudget::Reservation(*mem_budget_, meta->raw_size);
   }
 
-  contour::Selection selection;
   std::uint64_t stored_bytes = 0;
+  std::uint64_t payload_bytes = 0;
+  std::uint64_t selected = 0;
   std::int64_t bricks_total = 0;
   std::int64_t bricks_read = 0;
   double read_s = 0;
   double select_s = 0;
-  bool use_bricked = meta->bricks.has_value();
-  if (use_bricked) {
-    // Brick-indexed fast path: only straddling bricks are fetched and
-    // decompressed.
-    obs::Span read_span("ndp.read");
-    BrickedSelectStats bstats;
-    try {
-      selection = SelectInterestingPointsBricked(reader, array, isovalues,
-                                                 &bstats, only_bricks,
-                                                 quarantine_, key);
-    } catch (const CorruptDataError& e) {
-      if (only_bricks != nullptr) {
-        // Sub-request: the whole-blob read would answer for the *entire*
-        // array, not this shard's slice, and the caller has a better
-        // rung anyway — a replica holding an independent copy. Cross the
-        // wire typed so the sharded client fails over.
-        metrics_.GetCounter("ndp_restricted_corrupt_total").Increment();
-        obs::GlobalEventLog().Append("ndp.restricted_corrupt",
-                                     "array=" + array);
-        throw;
-      }
-      // A brick failed its CRC twice (or decoded to garbage). The
-      // whole-blob path below re-reads the entire array and checks the
-      // blob-level CRC, so a brick-local flip may still yield a correct
-      // answer from the same store.
-      metrics_.GetCounter("ndp_wholeblob_fallback_total").Increment();
-      obs::GlobalEventLog().Append("ndp.wholeblob_fallback",
-                                   "array=" + array);
-      std::fprintf(stderr, "[vizndp] brick integrity failure (%s); %s\n",
-                   e.what(), "falling back to whole-blob read");
-      use_bricked = false;
-    } catch (const IoError& e) {
-      // The gateway's retry ladder already burned its budget on the
-      // brick reads. The whole-blob read is a fresh op sequence against
-      // the same store — an EIO storm that has passed heals here.
-      if (only_bricks != nullptr) {
-        // Same reasoning as restricted corruption: the sharded caller's
-        // replica failover is the better rung, so cross the wire typed.
-        metrics_.GetCounter("ndp_restricted_io_total").Increment();
-        obs::GlobalEventLog().Append("ndp.restricted_io", "array=" + array);
-        throw;
-      }
-      metrics_.GetCounter("ndp_wholeblob_fallback_total").Increment();
-      obs::GlobalEventLog().Append("ndp.wholeblob_fallback",
-                                   "array=" + array + " reason=io");
-      std::fprintf(stderr, "[vizndp] brick read I/O failure (%s); %s\n",
-                   e.what(), "falling back to whole-blob read");
-      use_bricked = false;
+  std::int64_t chunks = 0;
+  Bytes payload;  // the one-shot reply's single batch
+
+  const auto pack = [&](const contour::Selection& selection) {
+    obs::Span pack_span("ndp.pack");
+    Bytes bytes = EncodeSelection(selection, encoding);
+    selected += selection.ids.size();
+    payload_bytes += bytes.size();
+    return bytes;
+  };
+  const auto on_cancel = [&]() {
+    // One counter, one event: covers both the client's explicit cancel
+    // frame and a peer-closed transport — either way the remaining
+    // brick work is abandoned. The dispatcher stamps the terminal with
+    // the `!cancelled:` error, so this result is never shipped.
+    metrics_.GetCounter("ndp_stream_cancelled_total").Increment();
+    obs::GlobalEventLog().Append("ndp.stream_cancel", "array=" + array);
+    return Value();
+  };
+  // Persistent brick failure. Only an unrestricted one-shot reply falls
+  // back to the whole-blob read. A shard sub-request's whole-blob read
+  // would answer for the entire array, not its slice, and its caller
+  // has a better rung — a replica holding an independent copy — so the
+  // error crosses the wire typed (and is counted). A stream cannot fall
+  // back either: a blob-sized read would blow the per-batch memory
+  // contract and answer for bricks already shipped; its client resumes
+  // on a replica instead.
+  const auto on_brick_failure = [&](const Error& e, bool io) {
+    if (only_bricks != nullptr) {
+      metrics_
+          .GetCounter(io ? "ndp_restricted_io_total"
+                         : "ndp_restricted_corrupt_total")
+          .Increment();
+      obs::GlobalEventLog().Append(
+          io ? "ndp.restricted_io" : "ndp.restricted_corrupt",
+          "array=" + array);
     }
-    read_span.End();
-    if (use_bricked) {
-      stored_bytes = bstats.bytes_read;
-      bricks_total = bstats.bricks_total;
-      bricks_read = bstats.bricks_read;
-      read_s = bstats.read_seconds;
-      select_s = bstats.scan_seconds;
+    if (only_bricks != nullptr || !one_shot) throw;
+    // A brick failed its CRC twice (or decoded to garbage), or the
+    // gateway's retry ladder burned its budget on the brick reads. The
+    // whole-blob read re-reads the entire array as a fresh op sequence
+    // and checks the blob-level CRC, so a brick-local flip or a passed
+    // EIO storm may still yield a correct answer from the same store.
+    metrics_.GetCounter("ndp_wholeblob_fallback_total").Increment();
+    obs::GlobalEventLog().Append(
+        "ndp.wholeblob_fallback",
+        "array=" + array + (io ? " reason=io" : ""));
+    std::fprintf(stderr, "[vizndp] brick %s failure (%s); %s\n",
+                 io ? "read I/O" : "integrity", e.what(),
+                 "falling back to whole-blob read");
+  };
+
+  bool whole_blob = !meta->bricks.has_value();
+  if (!whole_blob) {
+    try {
+      // Brick-indexed path: only the planned (straddling) bricks are
+      // fetched and decompressed, in batches — one batch for a one-shot
+      // reply, chunk_bricks per data chunk for a stream, each batch's
+      // slab reserved, scanned, shipped and released before the next.
+      const std::vector<std::int64_t> plan = PlanBricks(
+          *meta, isovalues, only_bricks, one_shot ? -1 : stream->resume_after);
+      bricks_total = static_cast<std::int64_t>(meta->bricks->entries.size());
+      const io::BrickGrid bgrid(h.dims, meta->bricks->edge);
+      const auto batch_bytes = [&](size_t start, size_t n) {
+        // Decompressed slab bytes this batch pins at once — the
+        // incremental analogue of the one-shot reply's raw_size.
+        std::uint64_t bytes = 0;
+        for (size_t i = start; i < start + n; ++i) {
+          bytes += static_cast<std::uint64_t>(
+                       bgrid.BrickExtent(plan[i]).PointCount()) *
+                   grid::DataTypeSize(meta->type);
+        }
+        return bytes;
+      };
+      // A one-shot reply is exactly one batch, empty when nothing
+      // straddles; a stream ships one chunk per non-empty batch.
+      const size_t end = one_shot ? std::max<size_t>(plan.size(), 1)
+                                  : plan.size();
+      const size_t per_batch =
+          one_shot ? end : static_cast<size_t>(stream->chunk_bricks);
+
+      // Registry lookups are name-hash-under-mutex; a stream resolves
+      // its per-chunk instruments once, not once per chunk.
+      obs::WindowedHistogram* chunk_hist = nullptr;
+      obs::Counter* chunk_counter = nullptr;
+      if (!one_shot) {
+        chunk_hist = &metrics_.GetWindowedHistogram("ndp_stream_chunk_seconds",
+                                                    obs::LatencyBounds());
+        chunk_counter = &metrics_.GetCounter("ndp_stream_chunks_total");
+        // First batch's reservation happens before anything is emitted,
+        // so an exhausted budget sheds the request with the ordinary
+        // retryable `!busy:` — the one window where shedding a stream is
+        // allowed.
+        if (mem_budget_ != nullptr && !plan.empty()) {
+          reservation = rpc::MemoryBudget::Reservation(
+              *mem_budget_, batch_bytes(0, std::min(per_batch, plan.size())));
+        }
+        StreamHeader header;
+        header.dims = h.dims;
+        for (int i = 0; i < 3; ++i) {
+          header.origin[i] = h.geometry.origin[static_cast<size_t>(i)];
+          header.spacing[i] = h.geometry.spacing[static_cast<size_t>(i)];
+        }
+        header.dtype = meta->type;
+        header.bricks_total = bricks_total;
+        header.stream_bricks = static_cast<std::int64_t>(plan.size());
+        header.total_points = h.dims.PointCount();
+        if (!sink->Emit(StreamHeaderToValue(header))) return on_cancel();
+      }
+
+      for (size_t start = 0; start < end; start += per_batch) {
+        const size_t n = std::min(per_batch, plan.size() - start);
+        std::optional<obs::Span> chunk_span;
+        if (!one_shot) {
+          if (sink->Cancelled()) return on_cancel();
+          if (mem_budget_ != nullptr && start > 0) {
+            reservation = ReserveMidStream(*mem_budget_, batch_bytes(start, n));
+          }
+          chunk_span.emplace("ndp.stream.chunk");
+        }
+        const std::vector<std::int64_t> batch(
+            plan.begin() + static_cast<std::ptrdiff_t>(start),
+            plan.begin() + static_cast<std::ptrdiff_t>(start + n));
+        obs::Span read_span("ndp.read");
+        BrickedSelectStats bstats;
+        const contour::Selection selection = SelectInterestingPointsBricked(
+            reader, array, isovalues, &bstats, &batch, quarantine_, key);
+        read_span.End();
+        stored_bytes += bstats.bytes_read;
+        bricks_read += bstats.bricks_read;
+        read_s += bstats.read_seconds;
+        select_s += bstats.scan_seconds;
+        if (one_shot) {
+          payload = pack(selection);
+          break;
+        }
+        StreamChunk chunk;
+        chunk.cursor = batch.back();
+        chunk.bricks = static_cast<std::int64_t>(n);
+        chunk.selected = static_cast<std::int64_t>(selection.ids.size());
+        chunk.payload = pack(selection);
+        const bool emitted = sink->Emit(StreamChunkToValue(std::move(chunk)));
+        // Release this batch's slab before the next reservation — the
+        // whole point of streaming admission: the budget sees one batch
+        // at a time, not the whole array.
+        reservation = rpc::MemoryBudget::Reservation();
+        chunk_span->End();
+        chunk_hist->Observe(chunk_span->ElapsedSeconds());
+        chunk_counter->Increment();
+        ++chunks;
+        if (!emitted) return on_cancel();
+      }
+    } catch (const CorruptDataError& e) {
+      on_brick_failure(e, /*io=*/false);
+      whole_blob = true;
+    } catch (const IoError& e) {
+      on_brick_failure(e, /*io=*/true);
+      whole_blob = true;
     }
   }
-  if (!use_bricked) {
+  if (whole_blob) {
     // Source: ranged-read the full array blob, then scan it.
     stored_bytes = meta->stored_size;
+    payload_bytes = selected = 0;
+    bricks_total = bricks_read = 0;
     obs::Span read_span("ndp.read");
     const grid::DataArray data = reader.ReadArray(array);
     read_span.End();
     read_s = read_span.ElapsedSeconds();
     obs::Span scan_span("ndp.select.scan");
-    selection = prefilter_threads_ == 1
-                    ? contour::SelectInterestingPoints(reader.header().dims,
-                                                       data, isovalues)
-                    : contour::SelectInterestingPointsParallel(
-                          reader.header().dims, data, isovalues,
-                          prefilter_threads_);
+    const contour::Selection selection =
+        prefilter_threads_ == 1
+            ? contour::SelectInterestingPoints(h.dims, data, isovalues)
+            : contour::SelectInterestingPointsParallel(
+                  h.dims, data, isovalues, prefilter_threads_);
     scan_span.End();
     select_s = scan_span.ElapsedSeconds();
+    payload = pack(selection);
   }
-  obs::Span pack_span("ndp.pack");
-  Bytes payload = EncodeSelection(selection, encoding);
-  pack_span.End();
 
   metrics_.GetCounter("ndp_select_requests_total").Increment();
   metrics_.GetCounter("ndp_bytes_in_total").Increment(stored_bytes);
-  metrics_.GetCounter("ndp_bytes_out_total").Increment(payload.size());
-  metrics_.GetCounter("ndp_selected_points_total")
-      .Increment(selection.ids.size());
+  metrics_.GetCounter("ndp_bytes_out_total").Increment(payload_bytes);
+  metrics_.GetCounter("ndp_selected_points_total").Increment(selected);
   if (bricks_total > bricks_read) {
     metrics_.GetCounter("ndp_bricks_skipped_total")
         .Increment(static_cast<std::uint64_t>(bricks_total - bricks_read));
   }
 
-  const auto& h = reader.header();
+  // A one-shot reply carries its payload; a stream's terminal summary
+  // counts the chunks that carried the data instead. "selected" counts
+  // shipped points, which on a stream may exceed the one-shot count by
+  // ghost-layer points shared across batch boundaries — consumers that
+  // need exact dedup use the SparseField's ValidCount after scattering.
   Map reply;
-  reply.emplace_back(Value("payload"), Value(std::move(payload)));
+  if (one_shot) reply.emplace_back(Value("payload"), Value(std::move(payload)));
   reply.emplace_back(Value("dims"),
                      Value(Array{Value(h.dims.nx), Value(h.dims.ny),
                                  Value(h.dims.nz)}));
@@ -237,221 +351,15 @@ msgpack::Value NdpServer::Select(const std::string& key,
   reply.emplace_back(Value("raw_bytes"), Value(meta->raw_size));
   reply.emplace_back(Value("bricks_total"), Value(bricks_total));
   reply.emplace_back(Value("bricks_read"), Value(bricks_read));
-  reply.emplace_back(Value("selected"),
-                     Value(static_cast<std::uint64_t>(selection.ids.size())));
-  reply.emplace_back(Value("total_points"),
-                     Value(static_cast<std::uint64_t>(selection.total_points)));
-  reply.emplace_back(Value("read_s"), Value(read_s));
-  reply.emplace_back(Value("select_s"), Value(select_s));
-  total_span.End();
-  // Windowed: the scrape exports ndp_select_seconds (cumulative, as
-  // ever) plus ndp_select_seconds_window for sliding-window quantiles.
-  metrics_.GetWindowedHistogram("ndp_select_seconds", obs::LatencyBounds())
-      .Observe(total_span.ElapsedSeconds());
-  return Value(std::move(reply));
-}
-
-msgpack::Value NdpServer::SelectStreaming(
-    const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues, SelectionEncoding encoding,
-    const std::vector<std::int64_t>* only_bricks, const StreamParams& stream,
-    rpc::StreamSink& sink) {
-  obs::Span total_span("ndp.select.stream");
-  metrics_.GetCounter("ndp_stream_requests_total").Increment();
-  const io::VndReader reader(gateway_.Open(key));
-  const io::ArrayMeta* meta = reader.header().Find(array);
-  VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
-  if (!meta->bricks.has_value()) {
-    // Unbricked arrays have no brick-id cursor space to chunk over;
-    // degrade to the monolithic reply (zero chunk frames — the client
-    // accepts a plain type-1 result as the degraded form of a streaming
-    // request, same as talking to a pre-streaming server).
-    VIZNDP_CHECK_MSG(only_bricks == nullptr,
-                     "brick restriction on unbricked array '" + array + "'");
-    return Select(key, array, isovalues, encoding, nullptr);
-  }
-  const auto brick_count =
-      static_cast<std::int64_t>(meta->bricks->entries.size());
-  if (only_bricks != nullptr) {
-    VIZNDP_CHECK_MSG(
-        only_bricks->empty() || only_bricks->back() < brick_count,
-        "brick restriction id out of range for '" + array + "'");
-    metrics_.GetCounter("ndp_restricted_select_total").Increment();
-  }
-
-  // The stream covers exactly the straddling bricks (within the
-  // restriction, above the resume cursor), in ascending id order — the
-  // same set the monolithic bricked pre-filter reads, just split into
-  // batches so each batch's slab is reserved, scanned, shipped, and
-  // released before the next begins. The straddle predicate must match
-  // bricked_select.cc exactly or resumed streams would cover a
-  // different brick set than the original.
-  std::vector<std::int64_t> todo;
-  {
-    size_t ri = 0;  // walks the sorted restriction
-    for (std::int64_t b = 0; b < brick_count; ++b) {
-      if (only_bricks != nullptr) {
-        while (ri < only_bricks->size() && (*only_bricks)[ri] < b) ++ri;
-        if (ri >= only_bricks->size() || (*only_bricks)[ri] != b) continue;
-      }
-      if (b <= stream.resume_after) continue;
-      const io::BrickEntry& e = meta->bricks->entries[static_cast<size_t>(b)];
-      const bool straddles =
-          std::any_of(isovalues.begin(), isovalues.end(), [&](double iso) {
-            return e.min < iso && e.max >= iso;
-          });
-      if (straddles) todo.push_back(b);
-    }
-  }
-
-  const io::BrickGrid bgrid(reader.header().dims, meta->bricks->edge);
-  const auto batch_bytes = [&](size_t start, size_t n) {
-    // Decompressed slab bytes this batch pins at once — the incremental
-    // analogue of the monolithic path's whole-array raw_size.
-    std::uint64_t bytes = 0;
-    for (size_t i = start; i < start + n; ++i) {
-      bytes +=
-          static_cast<std::uint64_t>(bgrid.BrickExtent(todo[i]).PointCount()) *
-          grid::DataTypeSize(meta->type);
-    }
-    return bytes;
-  };
-  const auto chunk_bricks = static_cast<size_t>(stream.chunk_bricks);
-
-  // First batch's reservation happens before anything is emitted, so an
-  // exhausted budget sheds the request with the ordinary retryable
-  // `!busy:` — the one window where shedding a stream is allowed.
-  rpc::MemoryBudget::Reservation reservation;
-  if (mem_budget_ != nullptr && !todo.empty()) {
-    reservation = rpc::MemoryBudget::Reservation(
-        *mem_budget_, batch_bytes(0, std::min(chunk_bricks, todo.size())));
-  }
-
-  const auto on_cancel = [&]() {
-    // One counter, one event: covers both the client's explicit cancel
-    // frame and a peer-closed transport — either way the remaining
-    // brick work is abandoned. The dispatcher stamps the terminal with
-    // the `!cancelled:` error, so this result is never shipped.
-    metrics_.GetCounter("ndp_stream_cancelled_total").Increment();
-    obs::GlobalEventLog().Append("ndp.stream_cancel", "array=" + array);
-    return Value();
-  };
-
-  const auto& h = reader.header();
-  StreamHeader header;
-  header.dims = h.dims;
-  for (int i = 0; i < 3; ++i) {
-    header.origin[i] = h.geometry.origin[static_cast<size_t>(i)];
-    header.spacing[i] = h.geometry.spacing[static_cast<size_t>(i)];
-  }
-  header.dtype = meta->type;
-  header.bricks_total = brick_count;
-  header.stream_bricks = static_cast<std::int64_t>(todo.size());
-  header.total_points = h.dims.PointCount();
-  if (!sink.Emit(StreamHeaderToValue(header))) return on_cancel();
-
-  std::uint64_t stored_bytes = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint64_t selected_total = 0;
-  std::int64_t bricks_read = 0;
-  double read_s = 0;
-  double select_s = 0;
-  std::int64_t chunks = 0;
-  // Registry lookups are name-hash-under-mutex; resolve the per-chunk
-  // instruments once per stream, not once per chunk.
-  auto& chunk_hist = metrics_.GetWindowedHistogram("ndp_stream_chunk_seconds",
-                                                   obs::LatencyBounds());
-  auto& chunk_counter = metrics_.GetCounter("ndp_stream_chunks_total");
-  for (size_t start = 0; start < todo.size(); start += chunk_bricks) {
-    if (sink.Cancelled()) return on_cancel();
-    const size_t n = std::min(chunk_bricks, todo.size() - start);
-    if (mem_budget_ != nullptr && start > 0) {
-      reservation = ReserveMidStream(*mem_budget_, batch_bytes(start, n));
-    }
-    obs::Span chunk_span("ndp.stream.chunk");
-    const std::vector<std::int64_t> batch(
-        todo.begin() + static_cast<std::ptrdiff_t>(start),
-        todo.begin() + static_cast<std::ptrdiff_t>(start + n));
-    BrickedSelectStats bstats;
-    contour::Selection selection;
-    try {
-      selection = SelectInterestingPointsBricked(reader, array, isovalues,
-                                                 &bstats, &batch, quarantine_,
-                                                 key);
-    } catch (const CorruptDataError&) {
-      // No mid-stream whole-blob fallback: a blob-sized read would blow
-      // the per-batch memory contract and answer for bricks already
-      // shipped. Cross the wire typed; the client's resume-on-a-replica
-      // rung (an independent data copy) is the right recovery.
-      if (only_bricks != nullptr) {
-        metrics_.GetCounter("ndp_restricted_corrupt_total").Increment();
-        obs::GlobalEventLog().Append("ndp.restricted_corrupt",
-                                     "array=" + array);
-      }
-      throw;
-    } catch (const IoError&) {
-      if (only_bricks != nullptr) {
-        metrics_.GetCounter("ndp_restricted_io_total").Increment();
-        obs::GlobalEventLog().Append("ndp.restricted_io", "array=" + array);
-      }
-      throw;
-    }
-    StreamChunk chunk;
-    chunk.cursor = batch.back();
-    chunk.bricks = static_cast<std::int64_t>(batch.size());
-    chunk.selected = static_cast<std::int64_t>(selection.ids.size());
-    chunk.payload = EncodeSelection(selection, encoding);
-    stored_bytes += bstats.bytes_read;
-    payload_bytes += chunk.payload.size();
-    selected_total += selection.ids.size();
-    bricks_read += bstats.bricks_read;
-    read_s += bstats.read_seconds;
-    select_s += bstats.scan_seconds;
-    const bool emitted = sink.Emit(StreamChunkToValue(std::move(chunk)));
-    // Release this batch's slab before the next reservation — the whole
-    // point of streaming admission: the budget sees one batch at a
-    // time, not the whole array.
-    reservation = rpc::MemoryBudget::Reservation();
-    chunk_span.End();
-    chunk_hist.Observe(chunk_span.ElapsedSeconds());
-    chunk_counter.Increment();
-    ++chunks;
-    if (!emitted) return on_cancel();
-  }
-
-  metrics_.GetCounter("ndp_select_requests_total").Increment();
-  metrics_.GetCounter("ndp_bytes_in_total").Increment(stored_bytes);
-  metrics_.GetCounter("ndp_bytes_out_total").Increment(payload_bytes);
-  metrics_.GetCounter("ndp_selected_points_total").Increment(selected_total);
-  if (brick_count > bricks_read) {
-    metrics_.GetCounter("ndp_bricks_skipped_total")
-        .Increment(static_cast<std::uint64_t>(brick_count - bricks_read));
-  }
-
-  // Terminal summary: the monolithic reply minus "payload" (the chunks
-  // carried the data). "selected" counts shipped points, which may
-  // exceed the monolithic count by ghost-layer points shared across
-  // batch boundaries — consumers that need exact dedup use the
-  // SparseField's ValidCount after scattering.
-  Map reply;
-  reply.emplace_back(Value("dims"),
-                     Value(Array{Value(h.dims.nx), Value(h.dims.ny),
-                                 Value(h.dims.nz)}));
-  reply.emplace_back(Value("origin"), Triple(h.geometry.origin));
-  reply.emplace_back(Value("spacing"), Triple(h.geometry.spacing));
-  reply.emplace_back(Value("dtype"),
-                     Value(std::string(grid::DataTypeName(meta->type))));
-  reply.emplace_back(Value("stored_bytes"), Value(stored_bytes));
-  reply.emplace_back(Value("raw_bytes"), Value(meta->raw_size));
-  reply.emplace_back(Value("bricks_total"), Value(brick_count));
-  reply.emplace_back(Value("bricks_read"), Value(bricks_read));
-  reply.emplace_back(Value("selected"), Value(selected_total));
+  reply.emplace_back(Value("selected"), Value(selected));
   reply.emplace_back(Value("total_points"),
                      Value(static_cast<std::uint64_t>(h.dims.PointCount())));
   reply.emplace_back(Value("read_s"), Value(read_s));
   reply.emplace_back(Value("select_s"), Value(select_s));
-  reply.emplace_back(Value("chunks"), Value(chunks));
+  if (!one_shot) reply.emplace_back(Value("chunks"), Value(chunks));
   total_span.End();
+  // Windowed: the scrape exports ndp_select_seconds (cumulative, as
+  // ever) plus ndp_select_seconds_window for sliding-window quantiles.
   metrics_.GetWindowedHistogram("ndp_select_seconds", obs::LatencyBounds())
       .Observe(total_span.ElapsedSeconds());
   return Value(std::move(reply));
@@ -563,22 +471,16 @@ void NdpServer::Bind(rpc::Server& server) {
         }
         // Optional 7th element: the stream map (protocol.h). Absent or
         // Nil — and any sink-less dispatch, e.g. the in-process Dispatch
-        // without a transport — means the monolithic reply.
+        // without a transport — means the one-shot reply.
         std::optional<StreamParams> stream;
         if (p.size() > 6) stream = StreamParamsFromValue(p.at(6));
         const auto encoding = static_cast<SelectionEncoding>(p.at(4).AsUint());
         // p[0] is the bucket, fixed at gateway construction; kept in the
         // protocol so multi-bucket servers remain possible.
-        if (stream.has_value() && sink != nullptr) {
-          return SelectStreaming(p.at(1).As<std::string>(),
-                                 p.at(2).As<std::string>(), isovalues,
-                                 encoding,
-                                 bricks.has_value() ? &*bricks : nullptr,
-                                 *stream, *sink);
-        }
         return Select(p.at(1).As<std::string>(), p.at(2).As<std::string>(),
                       isovalues, encoding,
-                      bricks.has_value() ? &*bricks : nullptr);
+                      bricks.has_value() ? &*bricks : nullptr,
+                      stream.has_value() ? &*stream : nullptr, sink);
       });
   server.Bind(kRpcNdpInfo, [this](const Array& p) -> Value {
     return Info(p.at(1).As<std::string>());
@@ -609,17 +511,6 @@ void NdpServer::Bind(rpc::Server& server) {
       return Value(obs::FormatSnapshot(all, p.at(0).As<std::string>()));
     }
     return SnapshotsToValue(all);
-  });
-  // Trace drain: ships (and clears) the storage node's span buffer so
-  // the client can merge the server half of a split-pipeline trace. A
-  // nonzero u64 in params[0] extracts only that trace's spans and leaves
-  // everything else buffered for other requests' scrapes.
-  server.Bind(kRpcNdpTrace, [](const Array& p) -> Value {
-    std::uint64_t trace_id = 0;
-    if (!p.empty() && p.at(0).IsInteger()) trace_id = p.at(0).AsUint();
-    return rpc::EventsToValue(trace_id != 0
-                                  ? obs::GlobalTracer().Extract(trace_id)
-                                  : obs::GlobalTracer().Drain());
   });
   // Liveness summary: what is executing right now and under which trace,
   // so an operator staring at a slow client can jump straight from

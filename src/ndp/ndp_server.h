@@ -8,7 +8,8 @@
 // read) into the process tracer, and maintains counters for bytes in/out,
 // selected points, and bricks skipped in metrics(). Bind() additionally
 // exposes the node's telemetry over the wire: ndp.metrics scrapes the
-// metric registries and ndp.trace drains the span buffer.
+// metric registries, and a sampled request's spans ride back on its
+// reply (rpc/server.h).
 //
 // Integrity: the bricked fast path verifies per-brick CRCs and re-reads a
 // failing brick once (see bricked_select.h). If a brick stays corrupt,
@@ -92,11 +93,12 @@ class NdpServer {
   }
 
   // Registers ndp.select, ndp.info, ndp.stats, ndp.metrics, and
-  // ndp.trace on `server`.
+  // ndp.health on `server`.
   void Bind(rpc::Server& server);
 
   // Handler core, exposed for tests: reads `key`, selects interesting
-  // points of `array` for `isovalues`, returns the reply map.
+  // points of `array` for `isovalues`, returns the reply map. The brick
+  // set is PlanBricks (bricked_select.h), run through one batch loop.
   //
   // `only_bricks` (sorted brick ids, nullptr = all) restricts the
   // pre-filter to a subset of the brick space — the sub-request half of
@@ -106,29 +108,29 @@ class NdpServer {
   // recovery for a shard sub-request is the client's replica failover
   // (a different data copy), so the CorruptDataError crosses the wire
   // typed instead (ndp_restricted_corrupt_total / ndp.restricted_corrupt).
+  //
+  // With `stream` and `sink` both set the reply streams (protocol.h
+  // stream shape): one header chunk, then one data chunk per batch of
+  // stream->chunk_bricks planned bricks above stream->resume_after, and
+  // the terminal summary (the one-shot reply map minus "payload", plus
+  // "chunks") as the return value. Otherwise the reply is one-shot: the
+  // degenerate single batch, no chunk frames, "payload" in the map.
+  // Unbricked arrays have no brick cursor space and always answer
+  // one-shot. Memory accounting differs by design: a one-shot reply
+  // reserves the array's raw_size up front, a stream reserves each
+  // batch's slab bytes and releases them once its chunk has been
+  // flushed, so at the same MemoryBudget a node admits strictly more
+  // concurrent streams than whole-array one-shot selects. A stream sheds
+  // (BusyError) only before its first chunk; a mid-stream reservation
+  // failure waits briefly and then fails with a plain (resumable, never
+  // `!busy:`) error. A cancel observed on the sink abandons remaining
+  // batches (ndp_stream_cancelled_total / ndp.stream_cancel).
   msgpack::Value Select(const std::string& key, const std::string& array,
                         const std::vector<double>& isovalues,
                         SelectionEncoding encoding,
-                        const std::vector<std::int64_t>* only_bricks = nullptr);
-
-  // Streaming variant (protocol.h stream shape): emits one header chunk,
-  // then per-brick-batch data chunks through `sink` as batches finish,
-  // and returns the terminal summary (the Select reply map minus
-  // "payload"). Memory accounting is incremental — each batch reserves
-  // only its own slab bytes and releases them when its chunk has been
-  // flushed — so at the same MemoryBudget a node admits strictly more
-  // concurrent streaming selects than whole-array monolithic ones.
-  // Shedding (BusyError) can only happen before the first chunk; a
-  // mid-stream reservation failure waits briefly and then fails with a
-  // plain (resumable, never `!busy:`) error. Unbricked arrays cannot
-  // stream and degrade to the monolithic Select reply. A cancel observed
-  // on the sink abandons remaining batches (ndp_stream_cancelled_total /
-  // ndp.stream_cancel).
-  msgpack::Value SelectStreaming(
-      const std::string& key, const std::string& array,
-      const std::vector<double>& isovalues, SelectionEncoding encoding,
-      const std::vector<std::int64_t>* only_bricks,
-      const StreamParams& stream, rpc::StreamSink& sink);
+                        const std::vector<std::int64_t>* only_bricks = nullptr,
+                        const StreamParams* stream = nullptr,
+                        rpc::StreamSink* sink = nullptr);
 
   msgpack::Value Info(const std::string& key);
 

@@ -90,8 +90,8 @@ std::vector<std::int64_t> BrickRestrictionFromValue(
 //                     "payload": encoded selection, "crc32": CRC-32 of
 //                     payload}
 //   3. terminal      the ordinary ndp.select reply map minus "payload"
-//                    (totals + per-phase times; the chunks carried the
-//                    data).
+//                    plus "chunks" (totals + per-phase times; the chunks
+//                    carried the data).
 //
 // The cursor is the resume token: a client that loses the stream after
 // cursor C re-issues the call with resume_after=C (same node first,
@@ -172,13 +172,9 @@ inline constexpr const char* kRpcNdpStats = "ndp.stats";
 // Observability scrapes: ndp.metrics returns the storage node's metric
 // registries (NDP + RPC + process substrate) — structured by default, or
 // rendered server-side when params[0] names a format ("text", "json",
-// "prom"). ndp.trace drains the span buffer so a client can merge the
-// server half of a trace into its own; a nonzero u64 in params[0]
-// restricts (and removes) just that trace's spans, leaving the rest
-// buffered. ndp.health summarizes liveness: draining flag, in-flight
+// "prom"). ndp.health summarizes liveness: draining flag, in-flight
 // handler table (method + trace_id + age), and memory-budget usage.
 inline constexpr const char* kRpcNdpMetrics = "ndp.metrics";
-inline constexpr const char* kRpcNdpTrace = "ndp.trace";
 inline constexpr const char* kRpcNdpHealth = "ndp.health";
 
 }  // namespace vizndp::ndp

@@ -104,6 +104,9 @@ bool ReadAll(int fd, Byte* data, size_t size, Deadline deadline,
   return true;
 }
 
+// Least time Receive allows a frame's body once its header has arrived.
+constexpr std::chrono::milliseconds kBodyGrace{100};
+
 class TcpTransport final : public Transport {
  public:
   explicit TcpTransport(int fd, const TcpOptions& options)
@@ -127,21 +130,18 @@ class TcpTransport final : public Transport {
     if (fd_ < 0) throw PeerClosedError("tcp transport is closed");
     Byte header[4];
     size_t consumed = 0;
-    // In poll mode (deadline already expired) the sender has started the
-    // frame if the header is readable, but Send() writes header and body
-    // separately, so the body may still be in flight for a few
-    // microseconds. A short grace finishes it instead of timing out
-    // mid-frame, which would poison an otherwise healthy connection.
-    const bool poll_mode = deadline != kNoDeadline &&
-                           deadline <= std::chrono::steady_clock::now();
     try {
       if (!ReadAll(fd_, header, sizeof(header), deadline, &consumed)) {
         throw PeerClosedError("tcp connection closed by peer");
       }
-      if (poll_mode) {
-        deadline =
-            std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-      }
+      // Send() writes header and body in two syscalls, so the body may
+      // trail the header by a scheduling quantum. Once the header is in,
+      // the body always gets at least kBodyGrace: a deadline that expires
+      // in between (the server's poll tick, an already-expired
+      // non-blocking poll) must not cut a healthy frame in half and
+      // poison the connection.
+      deadline = std::max(deadline,
+                          std::chrono::steady_clock::now() + kBodyGrace);
       const std::uint32_t size = LoadLE<std::uint32_t>(header);
       if (size > options_.max_frame_bytes) {
         // Refuse before allocating: a malicious or corrupted header can

@@ -44,8 +44,8 @@ struct TraceEvent {
 };
 
 // A drained event carries its track *name* so it can cross a process
-// boundary (the ndp.trace RPC and the reply piggyback ship these from
-// storage node to client).
+// boundary (the reply piggyback ships these from storage node to
+// client).
 struct DrainedEvent {
   std::string name;
   std::string track;

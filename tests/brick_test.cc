@@ -2,6 +2,8 @@
 // attacks the paper's "NDP is lower-bounded by local read time" limit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 #include <set>
 
@@ -195,6 +197,62 @@ TEST(BrickedSelect, SkipsBricksOutsideTheValueRange) {
   const contour::Selection dense = contour::SelectInterestingPoints(
       ds.dims(), reader.ReadArray("v03"), isos);
   EXPECT_EQ(sel.ids, dense.ids);
+}
+
+// The brick plan against a brute-force filter over seeded min/max
+// tables: isovalues that sit exactly on brick bounds, restrictions, and
+// resume cursors. And the resume property a cursor-carrying stream rests
+// on: the plan from cursor c is exactly the full plan's suffix after c.
+TEST(BrickPlan, MatchesBruteForceAndResumesAsASuffix) {
+  std::mt19937 rng(20261017);
+  std::uniform_real_distribution<double> value(-1.0, 1.0);
+  for (int table = 0; table < 40; ++table) {
+    io::ArrayMeta meta;
+    meta.bricks.emplace();
+    const int count = 1 + static_cast<int>(rng() % 64);
+    for (int b = 0; b < count; ++b) {
+      io::BrickEntry e;
+      e.min = value(rng);
+      e.max = rng() % 5 == 0 ? e.min : e.min + std::abs(value(rng));
+      meta.bricks->entries.push_back(e);
+    }
+    // Isovalues: random, plus values equal to some brick's min and max.
+    const auto& pick =
+        meta.bricks->entries[rng() % static_cast<size_t>(count)];
+    std::vector<double> isos = {value(rng), pick.min, pick.max};
+    isos.resize(1 + rng() % isos.size());
+    std::vector<std::int64_t> restriction;
+    for (std::int64_t b = 0; b < count + 3; ++b) {
+      if (rng() % 2 == 0) restriction.push_back(b);
+    }
+
+    for (const bool restricted : {false, true}) {
+      const std::vector<std::int64_t>* only =
+          restricted ? &restriction : nullptr;
+      const std::vector<std::int64_t> full =
+          ndp::PlanBricks(meta, isos, only);
+      for (std::int64_t cursor = -1; cursor <= count; ++cursor) {
+        std::vector<std::int64_t> expect;
+        for (std::int64_t b = cursor + 1; b < count; ++b) {
+          const io::BrickEntry& e = meta.bricks->entries[static_cast<size_t>(b)];
+          const bool listed =
+              !restricted || std::find(restriction.begin(), restriction.end(),
+                                       b) != restriction.end();
+          bool straddles = false;
+          for (const double iso : isos) {
+            straddles = straddles || (iso > e.min && iso <= e.max);
+          }
+          if (listed && straddles) expect.push_back(b);
+        }
+        const std::vector<std::int64_t> plan =
+            ndp::PlanBricks(meta, isos, only, cursor);
+        EXPECT_EQ(plan, expect) << "table " << table << " cursor " << cursor;
+        const std::vector<std::int64_t> suffix(
+            std::upper_bound(full.begin(), full.end(), cursor), full.end());
+        EXPECT_EQ(plan, suffix) << "table " << table << " cursor " << cursor;
+      }
+    }
+  }
 }
 
 TEST(BrickedNdp, EndToEndContourIdenticalAndCheaper) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -200,6 +205,45 @@ TEST(Deadline, TcpReceiveTimesOut) {
   // The connection is still usable: no frame bytes were consumed.
   server->Send(ToBytes("late but intact"));
   EXPECT_EQ(client->Receive(DeadlineAfter(1000ms)), ToBytes("late but intact"));
+}
+
+// A frame whose header lands before the receive deadline and whose body
+// lands just after it — the server's poll tick expiring between the two
+// writes of a Send — is delivered whole, on a connection still open.
+TEST(Deadline, TcpBodyTrailingTheDeadlineStillArrives) {
+  TcpListener listener(0);
+  TransportPtr server;
+  std::thread accepter([&] { server = listener.Accept(); });
+  // A raw socket peer, so the header and the body go out as two writes
+  // with a controlled gap.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(listener.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  accepter.join();
+  const auto send_frame = [&](const Bytes& body, auto gap) {
+    Byte header[4];
+    StoreLE(static_cast<std::uint32_t>(body.size()), header);
+    ASSERT_EQ(::send(fd, header, sizeof(header), MSG_NOSIGNAL), 4);
+    std::this_thread::sleep_for(gap);
+    ASSERT_EQ(::send(fd, body.data(), body.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(body.size()));
+  };
+
+  std::thread peer([&] { send_frame(ToBytes("late body"), 40ms); });
+  Bytes got;
+  EXPECT_NO_THROW(got = server->Receive(DeadlineAfter(20ms)));
+  peer.join();
+  EXPECT_EQ(got, ToBytes("late body"));
+  // Still framed and open: the next frame arrives intact.
+  send_frame(ToBytes("next"), 0ms);
+  EXPECT_NO_THROW(got = server->Receive(DeadlineAfter(1000ms)));
+  EXPECT_EQ(got, ToBytes("next"));
+  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------

@@ -250,6 +250,60 @@ TEST(Stream, StreamedFetchMatchesMonolithic) {
   EXPECT_EQ(progress.back().chunks, stats.stream_chunks);
   EXPECT_GT(progress.back().stream_bricks, 0);
   EXPECT_LE(progress.front().bricks_done, progress.back().bricks_done);
+  bed.ndp_client().SetStreamProgress({});
+
+  // The one-shot reply is the one-batch stream: at every chunk size, for
+  // whole-array and shard-restricted requests, in every encoding, the
+  // streamed terminal reports what the one-shot reply reports and the
+  // delivered selections rebuild the same field bit for bit.
+  NdpClient& client = bed.ndp_client();
+  const std::int64_t all_bricks = client.Info("ts.vnd").Find("v02")->brick_count;
+  std::vector<std::int64_t> slice;  // every third brick: a shard's share
+  for (std::int64_t b = 0; b < all_bricks; b += 3) slice.push_back(b);
+  const auto select = [&](const std::vector<std::int64_t>* only, bool streamed,
+                          SelectAccumulator& acc) {
+    FieldMerge merge;
+    client.Select("ts.vnd", "v02", kIsos, only, streamed, acc,
+                  [&](DecodedSelection&& sel) { merge.Scatter(acc.header, sel); });
+    return merge.Take(acc.header);
+  };
+  for (const SelectionEncoding encoding :
+       {SelectionEncoding::kIdValue, SelectionEncoding::kDeltaVarint,
+        SelectionEncoding::kBitmap, SelectionEncoding::kRunLength}) {
+    client.SetEncoding(encoding);
+    for (const bool restricted : {false, true}) {
+      const std::vector<std::int64_t>* only = restricted ? &slice : nullptr;
+      SelectAccumulator one_shot;
+      const contour::SparseField one_shot_field = select(only, false, one_shot);
+      const contour::PolyData one_shot_poly =
+          one_shot_field.Contour(one_shot.geometry(), kIsos);
+      ASSERT_GT(one_shot_poly.TriangleCount(), 0u);
+      ASSERT_GT(one_shot.bricks_read, 0);
+      for (const std::int64_t chunk_bricks : {std::int64_t{1}, std::int64_t{2},
+                                              all_bricks}) {
+        SCOPED_TRACE(std::string(SelectionEncodingName(encoding)) +
+                     (restricted ? " restricted" : " whole") + " chunk " +
+                     std::to_string(chunk_bricks));
+        StreamOptions chunked;
+        chunked.chunk_bricks = chunk_bricks;
+        client.SetStream(chunked);
+        SelectAccumulator streamed;
+        const contour::SparseField field = select(only, true, streamed);
+        EXPECT_EQ(field.ValidCount(), one_shot_field.ValidCount());
+        EXPECT_TRUE(field.Contour(streamed.geometry(), kIsos)
+                        .GeometricallyEquals(one_shot_poly, 0.0));
+        EXPECT_EQ(streamed.chunks,
+                  static_cast<std::uint64_t>(
+                      (one_shot.bricks_read + chunk_bricks - 1) / chunk_bricks));
+        EXPECT_EQ(streamed.stored_bytes, one_shot.stored_bytes);
+        EXPECT_EQ(streamed.bricks_read, one_shot.bricks_read);
+        EXPECT_EQ(streamed.header.bricks_total, one_shot.header.bricks_total);
+        EXPECT_EQ(streamed.raw_bytes, one_shot.raw_bytes);
+        EXPECT_EQ(streamed.header.total_points, one_shot.header.total_points);
+      }
+      client.SetStream(StreamOptions{});
+    }
+  }
 }
 
 TEST(Stream, UnbrickedArrayDegradesToMonolithicReply) {

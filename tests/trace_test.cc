@@ -183,6 +183,63 @@ TEST(TracePropagation, SampledFetchMergesServerSpansAndWireLegs) {
 }
 
 // ---------------------------------------------------------------------
+// NdpLoadStats and the trace agree on decode time: client_decode_s is
+// the fetch's ndp.decode spans, summed, on every fetch path — not the
+// RPC wait around them.
+// ---------------------------------------------------------------------
+
+double DecodeSpanSeconds(std::uint64_t trace_id, size_t* count) {
+  const auto decodes =
+      SpansNamed(obs::GlobalTracer().Collect(trace_id), "ndp.decode");
+  *count = decodes.size();
+  double seconds = 0;
+  for (const obs::DrainedEvent& d : decodes) {
+    seconds += static_cast<double>(d.dur_us) * 1e-6;
+  }
+  return seconds;
+}
+
+void ExpectDecodeMatchesSpans(ndp::NdpFetcher& fetcher, const char* path) {
+  SCOPED_TRACE(path);
+  ndp::NdpLoadStats stats;
+  grid::UniformGeometry geometry;
+  fetcher.FetchSparseField("t.vnd", "v02", {0.1, 0.3}, &geometry, &stats);
+  ASSERT_NE(stats.trace_id, 0u);
+  size_t count = 0;
+  const double spans_s = DecodeSpanSeconds(stats.trace_id, &count);
+  ASSERT_GT(count, 0u);
+  // Span durations are whole microseconds, each off by less than one.
+  EXPECT_NEAR(stats.client_decode_s, spans_s,
+              1e-6 * static_cast<double>(count + 1));
+}
+
+TEST(TraceStats, ClientDecodeSecondsIsTheDecodeSpans) {
+  ObsGuard guard;
+  obs::GlobalTracer().Enable();
+  const Bytes image = MakeBrickedImage();
+  {
+    Testbed testbed;
+    testbed.store().Put(testbed.bucket(), "t.vnd", image);
+    ExpectDecodeMatchesSpans(testbed.ndp_client(), "one-shot");
+    ndp::StreamOptions stream;
+    stream.chunk_bricks = 2;
+    testbed.ndp_client().SetStream(stream);
+    ExpectDecodeMatchesSpans(testbed.ndp_client(), "streamed");
+  }
+  bench_util::ClusterTestbedConfig config;
+  config.servers = 3;
+  config.replicas = 2;
+  config.sharded.hedge_ms = -1;  // no hedge losers decoding off the books
+  bench_util::ClusterTestbed cluster(config);
+  cluster.store().Put(cluster.bucket(), "t.vnd", image);
+  ExpectDecodeMatchesSpans(*cluster.sharded_client(), "sharded one-shot");
+  ndp::StreamOptions stream;
+  stream.chunk_bricks = 2;
+  cluster.sharded_client()->SetStream(stream);
+  ExpectDecodeMatchesSpans(*cluster.sharded_client(), "sharded streamed");
+}
+
+// ---------------------------------------------------------------------
 // The centerpiece choreography: attempt 1 is dropped on the wire,
 // attempt 2 is shed by the server's memory budget, attempt 3 hits a
 // persistently corrupt brick and the client degrades to the baseline
@@ -325,7 +382,7 @@ TEST(TraceChoreography, FaultyFetchYieldsAttemptSpansWireLegsAndEventSequence) {
             2u);
 
   // The merged timeline exports exactly what `vizndp_tool fetch
-  // --trace-merged` writes: all three tracks plus this trace's id.
+  // --trace` writes: all three tracks plus this trace's id.
   const std::string json = obs::GlobalTracer().ChromeJson();
   for (const char* track : {"client", "server", "wire"}) {
     EXPECT_NE(json.find("\"name\":\"" + std::string(track) + "\""),
@@ -534,38 +591,6 @@ TEST(TraceHealth, InflightTableNamesBlockedHandlerWithItsTraceId) {
   }
   s1.join();
   s2.join();
-}
-
-// ---------------------------------------------------------------------
-// ndp.trace with a trace_id filter moves exactly that trace's events.
-// ---------------------------------------------------------------------
-
-TEST(TraceScrape, TraceRpcFiltersByTraceIdAndLeavesTheRest) {
-  ObsGuard guard;
-  storage::MemoryObjectStore store;
-  store.CreateBucket("data");
-  rpc::Server server;
-  ndp::NdpServer ndp_server{storage::FileGateway(store, "data")};
-  ndp_server.Bind(server);
-  net::TransportPair pair = net::CreateInProcPair();
-  std::thread serve([&, t = std::move(pair.b)] { server.ServeTransport(*t); });
-
-  using Ids = obs::Tracer::SpanIds;
-  obs::GlobalTracer().Inject("server", "x.read", 10, 5, Ids{111, 1001, 0});
-  obs::GlobalTracer().Inject("server", "x.scan", 20, 5, Ids{111, 1002, 1001});
-  obs::GlobalTracer().Inject("server", "y.read", 30, 5, Ids{222, 2001, 0});
-
-  {
-    ndp::NdpClient ndp(std::make_shared<rpc::Client>(std::move(pair.a)),
-                       "data");
-    EXPECT_EQ(ndp.ScrapeTrace(111), 2u);
-  }
-  serve.join();
-
-  // Trace 111 moved out of the "server's" buffer and back in through the
-  // client-side merge; 222 never left.
-  EXPECT_EQ(obs::GlobalTracer().Collect(111).size(), 2u);
-  EXPECT_EQ(obs::GlobalTracer().Collect(222).size(), 1u);
 }
 
 // ---------------------------------------------------------------------

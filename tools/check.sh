@@ -225,7 +225,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   rm -rf "$E2E_DIR"
   trap - EXIT
 
-  stage "tsan e2e: fetch --trace-merged over TCP with faults"
+  stage "tsan e2e: fetch --trace over TCP with faults"
   # Real two-process run of the distributed-tracing path: a TCP storage
   # node, a lossy client connection, and a merged-timeline export. The
   # grep asserts the file is Chrome-tracing JSON with all three tracks.
@@ -239,7 +239,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   sleep 1
   ./build-tsan/tools/vizndp_tool fetch --port 47899 --key ts.vnd \
     --array v02 --iso 0.5 --timeout-ms 5000 --retries 2 \
-    --fault send.drop*1 --trace-merged "$E2E_DIR/trace.json"
+    --fault send.drop*1 --trace "$E2E_DIR/trace.json"
   kill -INT "$SERVE_PID"
   wait "$SERVE_PID"
   grep -q '"traceEvents"' "$E2E_DIR/trace.json"

@@ -10,7 +10,7 @@
 //   vizndp_tool serve   --dir DIR [--port P] [--max-inflight N]
 //                       [--mem-budget-mb N] [--drain-ms N]  (storage node)
 //   vizndp_tool fetch   --host H --port P --key K --array NAME --iso V[,V...]
-//                       [--obj FILE] [--trace-merged FILE]  (client node)
+//                       [--obj FILE]  (client node)
 //   vizndp_tool metrics --host H --port P [--json|--format F]
 //                       [--connect HOST:PORT]...  (fleet: merged view)
 //   vizndp_tool top     [--connect HOST:PORT]... [--once]
@@ -21,16 +21,13 @@
 // Every command also accepts the global `--trace FILE` option, which
 // records obs spans during the run and writes a Chrome-tracing JSON
 // file on exit (open in chrome://tracing or ui.perfetto.dev). `fetch
-// --trace` additionally drains the storage node's span buffer so the
-// file shows both halves of the split pipeline.
-//
-// `fetch --trace-merged FILE` goes further: it runs the load as one
-// sampled distributed trace and writes a single clock-aligned timeline
-// — client spans, the storage node's spans (shifted into the client
-// clock via the NTP-style midpoint offset from each RPC's piggybacked
-// receive/send stamps), and derived "wire" spans for the request and
-// reply legs — all under one trace id, with retries, busy shed and
-// fallback decisions as tagged child spans.
+// --trace` runs the load as one sampled distributed trace, so the file
+// is a single clock-aligned timeline — client spans, the storage node's
+// spans (piggybacked on each reply and shifted into the client clock
+// via the NTP-style midpoint offset from its receive/send stamps), and
+// derived "wire" spans for the request and reply legs — all under one
+// trace id, with retries, busy shed and fallback decisions as tagged
+// child spans.
 //
 // `serve` exposes both the baseline object-read RPCs and the NDP
 // pre-filter over TCP for every .vnd object under DIR/data/.
@@ -103,7 +100,7 @@ namespace {
                "          [--scrub-ms N] [--store-fault SPEC]\n"
                "  fetch   --host H --port P --key K --array NAME --iso V[,V...]\n"
                "          [--obj FILE] [--timeout-ms N] [--retries N]\n"
-               "          [--fault SPEC] [--fallback] [--trace-merged FILE]\n"
+               "          [--fault SPEC] [--fallback]\n"
                "          [--connect HOST:PORT]... [--replicas R] [--hedge-ms X]\n"
                "          [--shard-fault I:SPEC]... [--stream]\n"
                "          [--chunk-bricks N] [--chunk-timeout-ms N]\n"
@@ -159,9 +156,6 @@ namespace {
                "                   recv.delay=2000*3 (testing)\n"
                "  --fallback       degrade to the baseline full-array read\n"
                "                   when the NDP path stays unreachable\n"
-               "  --trace-merged FILE  run the load as one sampled distributed\n"
-               "                   trace and write a clock-aligned Chrome JSON\n"
-               "                   timeline (client + server + wire tracks)\n"
                "\n"
                "fetch streaming replies (chunked ndp.select):\n"
                "  --stream         per-brick-batch chunk frames instead of one\n"
@@ -199,7 +193,9 @@ namespace {
                "                   60x (default 30)\n"
                "\n"
                "global options:\n"
-               "  --trace FILE    record spans, write Chrome-tracing JSON\n"
+               "  --trace FILE    record spans, write Chrome-tracing JSON (fetch:\n"
+               "                  one clock-aligned client + server + wire\n"
+               "                  timeline)\n"
                "  --journal FILE  write the event journal (JSON) on exit\n");
   std::exit(2);
 }
@@ -407,8 +403,8 @@ volatile std::sig_atomic_t g_serve_interrupted = 0;
 int CmdServe(const Args& args) {
   const std::string dir = args.Require("dir");
   const auto port = static_cast<std::uint16_t>(args.GetLong("port", 47801));
-  // The serve process always records spans: the ring buffer caps memory,
-  // and clients drain it over ndp.trace for their --trace output.
+  // The serve process always records spans, so a sampled request's
+  // spans can ride back on its reply; the ring buffer caps memory.
   obs::GlobalTracer().Enable();
   storage::LocalObjectStore store(dir);
   store.CreateBucket("data");
@@ -499,9 +495,6 @@ std::pair<std::string, std::uint16_t> ParseEndpoint(const std::string& spec) {
 }
 
 int CmdFetch(const Args& args) {
-  const auto trace_merged = args.Get("trace-merged");
-  if (trace_merged) obs::GlobalTracer().Enable();
-
   ndp::NdpClientOptions options;
   options.call_timeout =
       std::chrono::milliseconds(args.GetLong("timeout-ms", 0));
@@ -698,23 +691,8 @@ int CmdFetch(const Args& args) {
     poly.WriteObj(*obj);
     std::printf("wrote %s\n", obj->c_str());
   }
-  if (trace_merged) {
-    // Sampled requests piggyback the server half of every attempt on
-    // the reply, already clock-aligned into this process's buffer, so
-    // the plain export is the complete merged timeline.
-    std::ofstream out(*trace_merged, std::ios::binary);
-    if (!out.good()) throw IoError("cannot open " + *trace_merged);
-    obs::GlobalTracer().WriteChromeJson(out);
-    std::printf("wrote %s (trace %s, %zu events: client + server + wire "
-                "tracks, clock-aligned)\n",
-                trace_merged->c_str(), obs::TraceIdHex(stats.trace_id).c_str(),
-                obs::GlobalTracer().event_count());
-  } else if (obs::GlobalTracer().enabled() && !stats.used_fallback) {
-    // Pull the server half of the trace into the local buffer so the
-    // --trace file shows read/decompress/select next to decode/scatter.
-    size_t merged = 0;
-    for (const auto& c : clients) merged += c->ScrapeTrace();
-    std::printf("merged %zu server trace event(s)\n", merged);
+  if (stats.trace_id != 0) {
+    std::printf("trace %s\n", obs::TraceIdHex(stats.trace_id).c_str());
   }
   return 0;
 }
