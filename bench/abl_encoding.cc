@@ -1,11 +1,13 @@
-// Ablation B: pre-filter payload encodings. Compares the three wire
-// layouts (id+value, delta-varint ids, bitmap) across the selectivity
-// regimes the timestep series produces: bytes per selected point,
-// absolute payload size, and encode+decode CPU time.
+// Ablation B: pre-filter payload encodings. Compares the two wire
+// layouts — id+value (the paper's shape, 12 B/point for float32) and
+// run-length ids (the serving default) — across the selectivity regimes
+// the timestep series produces: bytes per selected point, absolute
+// payload size, and encode+decode CPU time.
 //
-// Expected shape: delta-varint wins at low selectivity (interface-
-// clustered ids); the bitmap closes in as selectivity rises (its cost is
-// fixed at one bit per grid point).
+// Expected shape: run-length is the smaller payload at every timestep;
+// the selection marks whole cell corners, so ids come in x-contiguous
+// runs and cost well under one byte per point next to the 8-byte ids of
+// id+value.
 #include "bench_common.h"
 
 #include "contour/select.h"
@@ -28,8 +30,6 @@ int main() {
     const contour::Selection sel =
         contour::SelectInterestingPoints(ds.dims(), ds.GetArray("v02"), isos);
     for (const auto encoding : {ndp::SelectionEncoding::kIdValue,
-                                ndp::SelectionEncoding::kDeltaVarint,
-                                ndp::SelectionEncoding::kBitmap,
                                 ndp::SelectionEncoding::kRunLength}) {
       bench_util::Stopwatch enc_sw;
       const Bytes payload = ndp::EncodeSelection(sel, encoding);

@@ -82,12 +82,12 @@ void BM_MarchingCubes(benchmark::State& state) {
 }
 BENCHMARK(BM_MarchingCubes);
 
-void BM_SelectionEncode(benchmark::State& state) {
+void BM_SelectionEncode(benchmark::State& state,
+                        ndp::SelectionEncoding encoding) {
   const grid::Dataset& ds = ImpactData();
   const double isos[] = {0.1};
   const contour::Selection sel =
       contour::SelectInterestingPoints(ds.dims(), ds.GetArray("v02"), isos);
-  const auto encoding = static_cast<ndp::SelectionEncoding>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ndp::EncodeSelection(sel, encoding));
   }
@@ -95,7 +95,10 @@ void BM_SelectionEncode(benchmark::State& state) {
                           static_cast<std::int64_t>(sel.ids.size()));
   state.SetLabel(ndp::SelectionEncodingName(encoding));
 }
-BENCHMARK(BM_SelectionEncode)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_SelectionEncode, id_value,
+                  ndp::SelectionEncoding::kIdValue);
+BENCHMARK_CAPTURE(BM_SelectionEncode, run_length,
+                  ndp::SelectionEncoding::kRunLength);
 
 void BM_MsgpackPackBin(benchmark::State& state) {
   const Bytes blob(static_cast<size_t>(state.range(0)), 0x3C);

@@ -315,10 +315,7 @@ msgpack::Value NdpServer::Select(const std::string& key,
     read_s = read_span.ElapsedSeconds();
     obs::Span scan_span("ndp.select.scan");
     const contour::Selection selection =
-        prefilter_threads_ == 1
-            ? contour::SelectInterestingPoints(h.dims, data, isovalues)
-            : contour::SelectInterestingPointsParallel(
-                  h.dims, data, isovalues, prefilter_threads_);
+        contour::SelectInterestingPoints(h.dims, data, isovalues);
     scan_span.End();
     select_s = scan_span.ElapsedSeconds();
     payload = pack(selection);
@@ -457,30 +454,12 @@ msgpack::Value NdpServer::Stats(const std::string& key,
 void NdpServer::Bind(rpc::Server& server) {
   server.BindStreaming(
       kRpcNdpSelect, [this](const Array& p, rpc::StreamSink* sink) -> Value {
-        std::vector<double> isovalues;
-        for (const Value& v : p.at(3).As<Array>()) {
-          isovalues.push_back(v.AsDouble());
-        }
-        // Optional 6th element: the sub-request brick restriction (absent
-        // or empty = the whole brick space, the pre-sharding request
-        // shape).
-        std::optional<std::vector<std::int64_t>> bricks;
-        if (p.size() > 5 && p.at(5).Is<Array>() &&
-            !p.at(5).As<Array>().empty()) {
-          bricks = BrickRestrictionFromValue(p.at(5));
-        }
-        // Optional 7th element: the stream map (protocol.h). Absent or
-        // Nil — and any sink-less dispatch, e.g. the in-process Dispatch
-        // without a transport — means the one-shot reply.
-        std::optional<StreamParams> stream;
-        if (p.size() > 6) stream = StreamParamsFromValue(p.at(6));
-        const auto encoding = static_cast<SelectionEncoding>(p.at(4).AsUint());
-        // p[0] is the bucket, fixed at gateway construction; kept in the
-        // protocol so multi-bucket servers remain possible.
-        return Select(p.at(1).As<std::string>(), p.at(2).As<std::string>(),
-                      isovalues, encoding,
-                      bricks.has_value() ? &*bricks : nullptr,
-                      stream.has_value() ? &*stream : nullptr, sink);
+        // A sink-less dispatch (e.g. the in-process Dispatch without a
+        // transport) answers one-shot whatever the stream param says.
+        const SelectRequest req = SelectRequestFromParams(p);
+        return Select(req.key, req.array, req.isovalues, req.encoding,
+                      req.only_bricks ? &*req.only_bricks : nullptr,
+                      req.stream ? &*req.stream : nullptr, sink);
       });
   server.Bind(kRpcNdpInfo, [this](const Array& p) -> Value {
     return Info(p.at(1).As<std::string>());

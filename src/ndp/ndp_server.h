@@ -59,10 +59,6 @@ class NdpServer {
     return seen_view_epoch_.load(std::memory_order_relaxed);
   }
 
-  // Pre-filter scan parallelism on the storage node. 1 = serial
-  // (default); 0 = one thread per hardware core.
-  void SetPreFilterThreads(int threads) { prefilter_threads_ = threads; }
-
   // Optional decompressed-memory budget (usually the owning
   // rpc::Server's). When set, Select reserves the array's raw size for
   // the duration of the request; an exhausted budget sheds the request
@@ -149,7 +145,6 @@ class NdpServer {
 
  private:
   storage::FileGateway gateway_;
-  int prefilter_threads_ = 1;
   rpc::MemoryBudget* mem_budget_ = nullptr;
   const storage::QuarantineSet* quarantine_ = nullptr;
   const storage::Scrubber* scrubber_ = nullptr;

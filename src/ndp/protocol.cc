@@ -10,11 +10,21 @@ namespace vizndp::ndp {
 const char* SelectionEncodingName(SelectionEncoding e) {
   switch (e) {
     case SelectionEncoding::kIdValue: return "id+value";
-    case SelectionEncoding::kDeltaVarint: return "delta-varint";
-    case SelectionEncoding::kBitmap: return "bitmap";
     case SelectionEncoding::kRunLength: return "run-length";
   }
   return "?";
+}
+
+SelectionEncoding SelectionEncodingFromTag(std::uint64_t tag) {
+  switch (tag) {
+    case static_cast<std::uint64_t>(SelectionEncoding::kIdValue):
+      return SelectionEncoding::kIdValue;
+    case static_cast<std::uint64_t>(SelectionEncoding::kRunLength):
+      return SelectionEncoding::kRunLength;
+    default:
+      throw DecodeError("unknown selection encoding tag " +
+                        std::to_string(tag));
+  }
 }
 
 msgpack::Value BrickRestrictionToValue(std::span<const std::int64_t> bricks) {
@@ -27,6 +37,9 @@ msgpack::Value BrickRestrictionToValue(std::span<const std::int64_t> bricks) {
 std::vector<std::int64_t> BrickRestrictionFromValue(
     const msgpack::Value& value) {
   std::vector<std::int64_t> out;
+  if (!value.Is<msgpack::Array>()) {
+    throw DecodeError("brick restriction: not an array");
+  }
   const auto& arr = value.As<msgpack::Array>();
   if (arr.size() > kMaxBrickRestriction) {
     throw DecodeError("brick restriction: absurd length " +
@@ -102,6 +115,31 @@ std::optional<StreamParams> StreamParamsFromValue(
     throw DecodeError("stream params: resume_after below -1");
   }
   return params;
+}
+
+SelectRequest SelectRequestFromParams(const msgpack::Array& p) {
+  if (p.size() < 5 || !p[0].Is<std::string>() || !p[1].Is<std::string>() ||
+      !p[2].Is<std::string>() || !p[3].Is<msgpack::Array>()) {
+    throw DecodeError(
+        "ndp.select: params must start [bucket, key, array, isovalues]");
+  }
+  const msgpack::Value& tag = p[4];
+  if (!tag.IsInteger() || (tag.Is<std::int64_t>() && tag.AsInt() < 0)) {
+    throw DecodeError("ndp.select: encoding tag is not an unsigned integer");
+  }
+  SelectRequest req;
+  req.key = p[1].As<std::string>();
+  req.array = p[2].As<std::string>();
+  for (const msgpack::Value& iso : p[3].As<msgpack::Array>()) {
+    req.isovalues.push_back(iso.AsDouble());
+  }
+  req.encoding = SelectionEncodingFromTag(tag.AsUint());
+  if (p.size() > 5 && !p[5].IsNil()) {
+    std::vector<std::int64_t> bricks = BrickRestrictionFromValue(p[5]);
+    if (!bricks.empty()) req.only_bricks = std::move(bricks);
+  }
+  if (p.size() > 6) req.stream = StreamParamsFromValue(p[6]);
+  return req;
 }
 
 msgpack::Value StreamHeaderToValue(const StreamHeader& header) {
@@ -259,26 +297,6 @@ Bytes EncodeSelection(const contour::Selection& selection,
         AppendLE<std::int64_t>(id, out);
       }
       break;
-    case SelectionEncoding::kDeltaVarint: {
-      grid::PointId prev = 0;
-      for (const grid::PointId id : selection.ids) {
-        VIZNDP_CHECK_MSG(id >= prev, "delta encoding requires sorted ids");
-        AppendVarint(static_cast<std::uint64_t>(id - prev), out);
-        prev = id;
-      }
-      break;
-    }
-    case SelectionEncoding::kBitmap: {
-      const auto npoints = static_cast<size_t>(selection.dims.PointCount());
-      AppendLE<std::uint64_t>(npoints, out);
-      const size_t bitmap_at = out.size();
-      out.insert(out.end(), (npoints + 7) / 8, 0);
-      for (const grid::PointId id : selection.ids) {
-        out[bitmap_at + static_cast<size_t>(id) / 8] |=
-            static_cast<Byte>(1u << (static_cast<size_t>(id) % 8));
-      }
-      break;
-    }
     case SelectionEncoding::kRunLength: {
       // (gap from previous run's end, run length) varint pairs.
       grid::PointId prev_end = 0;
@@ -307,7 +325,7 @@ Bytes EncodeSelection(const contour::Selection& selection,
 
 DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims) {
   if (payload.size() < 10) throw DecodeError("selection payload too short");
-  const auto encoding = static_cast<SelectionEncoding>(payload[0]);
+  const SelectionEncoding encoding = SelectionEncodingFromTag(payload[0]);
   const auto type = static_cast<grid::DataType>(payload[1]);
   const std::uint64_t count = LoadLE<std::uint64_t>(payload.data() + 2);
   size_t pos = 10;
@@ -330,36 +348,6 @@ DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims) {
         pos += 8;
       }
       break;
-    case SelectionEncoding::kDeltaVarint: {
-      grid::PointId prev = 0;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        prev += static_cast<grid::PointId>(ReadVarint(payload, pos));
-        out.ids.push_back(prev);
-      }
-      break;
-    }
-    case SelectionEncoding::kBitmap: {
-      if (pos + 8 > payload.size()) throw DecodeError("bitmap payload truncated");
-      const std::uint64_t npoints = LoadLE<std::uint64_t>(payload.data() + pos);
-      pos += 8;
-      if (npoints != static_cast<std::uint64_t>(dims.PointCount())) {
-        throw DecodeError("bitmap point count does not match grid");
-      }
-      const size_t bitmap_bytes = (npoints + 7) / 8;
-      if (pos + bitmap_bytes > payload.size()) {
-        throw DecodeError("bitmap payload truncated");
-      }
-      for (std::uint64_t id = 0; id < npoints; ++id) {
-        if (payload[pos + id / 8] & (1u << (id % 8))) {
-          out.ids.push_back(static_cast<grid::PointId>(id));
-        }
-      }
-      if (out.ids.size() != count) {
-        throw DecodeError("bitmap population does not match count");
-      }
-      pos += bitmap_bytes;
-      break;
-    }
     case SelectionEncoding::kRunLength: {
       grid::PointId prev_end = 0;
       while (out.ids.size() < count) {
@@ -376,8 +364,6 @@ DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims) {
       }
       break;
     }
-    default:
-      throw DecodeError("unknown selection encoding tag");
   }
 
   const size_t value_bytes = count * grid::DataTypeSize(type);

@@ -1,19 +1,16 @@
 // Wire encodings for pre-filter selections (the paper ships these through
-// rpclib/MessagePack). Three interchangeable layouts, compared by the
-// encoding ablation bench:
-//   kIdValue     — [count][ids as i64 LE][values raw]; simple, 12 B/point
-//                  for float32 fields.
-//   kDeltaVarint — [count][varint deltas of sorted ids][values raw];
-//                  ids cluster around interfaces, so deltas are small and
-//                  this typically runs ~5 B/point.
-//   kBitmap      — [one bit per grid point][values raw in id order]; wins
-//                  when selectivity is high (dense selections).
-//   kRunLength   — [(varint gap, varint run length) pairs][values raw];
-//                  the selection marks whole cell corners, so ids come in
-//                  x-contiguous runs and this usually beats delta-varint
-//                  (~0.5-1 B/point of id overhead). NdpClient's default.
+// rpclib/MessagePack). Two layouts:
+//   kIdValue   — [count][ids as i64 LE][values raw]; the paper's id+value
+//                shape, 12 B/point for float32 fields. Kept as the simple
+//                oracle.
+//   kRunLength — [(varint gap, varint run length) pairs][values raw];
+//                the selection marks whole cell corners, so ids come in
+//                x-contiguous runs (~0.5-1 B/point of id overhead, the
+//                smallest payload at every timestep of the encoding
+//                ablation). NdpClient's default.
 // Every payload starts with a 1-byte encoding tag + 1-byte data type, so
-// decoders self-describe.
+// decoders self-describe. Tags 1 and 2 (the retired delta-varint and
+// bitmap layouts) are reserved and rejected as unknown.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +26,14 @@ namespace vizndp::ndp {
 
 enum class SelectionEncoding : std::uint8_t {
   kIdValue = 0,
-  kDeltaVarint = 1,
-  kBitmap = 2,
   kRunLength = 3,
 };
 
 const char* SelectionEncodingName(SelectionEncoding e);
+
+// The one check of a wire encoding tag: throws DecodeError for any tag
+// other than 0 or 3.
+SelectionEncoding SelectionEncodingFromTag(std::uint64_t tag);
 
 struct DecodedSelection {
   std::vector<grid::PointId> ids;  // sorted ascending
@@ -44,8 +43,8 @@ struct DecodedSelection {
 Bytes EncodeSelection(const contour::Selection& selection,
                       SelectionEncoding encoding);
 
-// `dims` must match the grid the selection was taken from (needed by the
-// bitmap layout). Throws DecodeError on malformed payloads.
+// `dims` must match the grid the selection was taken from (ids are
+// checked against it). Throws DecodeError on malformed payloads.
 DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims);
 
 // Unsigned LEB128 helpers (shared with tests).
@@ -109,6 +108,26 @@ msgpack::Value StreamParamsToValue(const StreamParams& params);
 // present but malformed (chunk_bricks < 1 or > kMaxBrickRestriction,
 // resume_after < -1).
 std::optional<StreamParams> StreamParamsFromValue(const msgpack::Value& value);
+
+// One decoded ndp.select request. Params are positional:
+//   [bucket, key, array, isovalues, encoding tag, restriction?, stream?]
+// p[0] is the bucket, fixed at gateway construction; kept in the
+// protocol so multi-bucket servers remain possible.
+struct SelectRequest {
+  std::string key;
+  std::string array;
+  std::vector<double> isovalues;
+  SelectionEncoding encoding = SelectionEncoding::kRunLength;
+  // Absent, Nil or empty = the whole brick space.
+  std::optional<std::vector<std::int64_t>> only_bricks;
+  // Absent or Nil = the one-shot reply.
+  std::optional<StreamParams> stream;
+};
+
+// The one parse of ndp.select params, shared by NdpServer and the
+// ndp-select fuzz target. Runs before any storage is touched and throws
+// DecodeError on any malformed param, including an unknown encoding tag.
+SelectRequest SelectRequestFromParams(const msgpack::Array& params);
 
 struct StreamHeader {
   grid::Dims dims;

@@ -1,27 +1,15 @@
 #include "net/fault.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "common/error.h"
 #include "net/retry.h"
 
 namespace vizndp::net {
-
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kPass: return "pass";
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kDelay: return "delay";
-    case FaultKind::kDuplicate: return "duplicate";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kBitFlip: return "bit_flip";
-    case FaultKind::kDisconnect: return "disconnect";
-  }
-  return "?";
-}
 
 FaultInjectingTransport::FaultInjectingTransport(TransportPtr inner)
     : inner_(std::move(inner)) {}
@@ -221,13 +209,76 @@ void FaultInjectingTransport::Close() { inner_->Close(); }
 
 namespace {
 
-FaultAction ParseAction(const std::string& name, long param) {
+// A whole decimal integer, optionally negative: empty values, trailing
+// characters and overflow are rejected.
+std::int64_t ParseFaultNumber(std::string_view text, const std::string& entry) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw Error("fault number '" + std::string(text) +
+                "' is not an integer in '" + entry + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
+std::uint64_t FaultSpecEntry::UnsignedParam() const {
+  if (param < 0) {
+    throw Error("fault action '" + action + "' takes a non-negative param");
+  }
+  return static_cast<std::uint64_t>(param);
+}
+
+std::vector<FaultSpecEntry> TokenizeFaultSpec(const std::string& spec) {
+  std::vector<FaultSpecEntry> out;
+  std::stringstream ss(spec);
+  std::string entry;
+  while (std::getline(ss, entry, ',')) {
+    if (entry.empty()) continue;
+    FaultSpecEntry e;
+    std::string_view rest(entry);
+    if (rest.back() == '+') {
+      e.loop = true;
+      rest.remove_suffix(1);
+    }
+    const size_t dot = rest.find('.');
+    if (dot == std::string_view::npos) {
+      throw Error("fault entry '" + entry + "' needs a selector prefix");
+    }
+    e.selector = rest.substr(0, dot);
+    rest.remove_prefix(dot + 1);
+    if (const size_t star = rest.find('*'); star != std::string_view::npos) {
+      e.count = ParseFaultNumber(rest.substr(star + 1), entry);
+      rest = rest.substr(0, star);
+      if (e.count < 1 || e.count > kMaxFaultCount) {
+        throw Error("fault count must be in [1, " +
+                    std::to_string(kMaxFaultCount) + "] in '" + entry + "'");
+      }
+    }
+    if (const size_t eq = rest.find('='); eq != std::string_view::npos) {
+      e.param = ParseFaultNumber(rest.substr(eq + 1), entry);
+      rest = rest.substr(0, eq);
+    }
+    e.action = rest;
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+namespace {
+
+FaultAction ParseAction(const FaultSpecEntry& e) {
+  const std::string& name = e.action;
   if (name == "pass") return FaultAction::Pass();
   if (name == "drop") return FaultAction::Drop();
-  if (name == "delay") return FaultAction::Delay(std::chrono::microseconds(param));
+  if (name == "delay") {
+    return FaultAction::Delay(std::chrono::microseconds(e.UnsignedParam()));
+  }
   if (name == "dup") return FaultAction::Duplicate();
-  if (name == "truncate") return FaultAction::Truncate(static_cast<size_t>(param));
-  if (name == "flip") return FaultAction::BitFlip(static_cast<size_t>(param));
+  if (name == "truncate") return FaultAction::Truncate(e.UnsignedParam());
+  if (name == "flip") return FaultAction::BitFlip(e.UnsignedParam());
   if (name == "down") return FaultAction::Disconnect();
   throw Error("unknown fault action '" + name + "'");
 }
@@ -236,43 +287,15 @@ FaultAction ParseAction(const std::string& name, long param) {
 
 FaultSpec ParseFaultSpec(const std::string& spec) {
   FaultSpec out;
-  std::stringstream ss(spec);
-  std::string entry;
-  while (std::getline(ss, entry, ',')) {
-    if (entry.empty()) continue;
-    bool loop = false;
-    if (entry.back() == '+') {
-      loop = true;
-      entry.pop_back();
+  for (const FaultSpecEntry& e : TokenizeFaultSpec(spec)) {
+    const bool send = e.selector == "send";
+    if (!send && e.selector != "recv") {
+      throw Error("fault direction must be send or recv, got '" + e.selector +
+                  "'");
     }
-    const size_t dot = entry.find('.');
-    if (dot == std::string::npos) {
-      throw Error("fault entry '" + entry + "' needs send./recv. prefix");
-    }
-    const std::string dir = entry.substr(0, dot);
-    std::string rest = entry.substr(dot + 1);
-    long count = 1;
-    if (const size_t star = rest.find('*'); star != std::string::npos) {
-      count = std::atol(rest.c_str() + star + 1);
-      rest = rest.substr(0, star);
-      if (count < 1) throw Error("fault count must be >= 1 in '" + entry + "'");
-    }
-    long param = 0;
-    if (const size_t eq = rest.find('='); eq != std::string::npos) {
-      param = std::atol(rest.c_str() + eq + 1);
-      rest = rest.substr(0, eq);
-    }
-    const FaultAction action = ParseAction(rest, param);
-    auto* script = dir == "send" ? &out.send_script
-                 : dir == "recv" ? &out.recv_script
-                                 : nullptr;
-    if (script == nullptr) {
-      throw Error("fault direction must be send or recv in '" + entry + "'");
-    }
-    for (long i = 0; i < count; ++i) script->push_back(action);
-    if (loop) {
-      (dir == "send" ? out.send_loop_last : out.recv_loop_last) = true;
-    }
+    auto& script = send ? out.send_script : out.recv_script;
+    script.insert(script.end(), static_cast<size_t>(e.count), ParseAction(e));
+    if (e.loop) (send ? out.send_loop_last : out.recv_loop_last) = true;
   }
   return out;
 }

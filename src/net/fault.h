@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "net/transport.h"
@@ -34,8 +35,6 @@ enum class FaultKind : std::uint8_t {
   kBitFlip,
   kDisconnect,
 };
-
-const char* FaultKindName(FaultKind kind);
 
 struct FaultAction {
   FaultKind kind = FaultKind::kPass;
@@ -125,15 +124,43 @@ class FaultInjectingTransport final : public Transport {
   FaultStats stats_;
 };
 
-// Parses a compact fault-script spec used by `vizndp_tool --fault`:
-//   spec    := entry (',' entry)*
-//   entry   := ('send'|'recv') '.' action ['*' count] ['=' param]
-//   action  := pass | drop | delay (param: µs) | dup
-//            | truncate (param: bytes) | flip (param: bit index) | down
-// A trailing '+' on an entry loops its action forever. `pass` delivers
-// the frame untouched — it exists to position a later entry at the k-th
-// frame of a conversation (e.g. a kill at a mid-stream chunk boundary).
-// Examples:
+// The compact fault-spec grammar shared by the transport decorator
+// (ParseFaultSpec below) and the store decorator
+// (storage::ParseStoreFaultSpec):
+//   spec   := entry (',' entry)*
+//   entry  := selector '.' action ['=' param] ['*' count] ['+']
+// `count` (default 1, at most kMaxFaultCount) repeats the action; a
+// trailing '+' loops the entry's action forever. Numbers are whole
+// decimal integers; `param` (default 0) may be negative, and each action
+// table decides whether that makes sense. Empty entries are skipped.
+// Each side owns its selector and action tables and appends `count`
+// copies of the action to the one script of the entry's selector.
+inline constexpr std::int64_t kMaxFaultCount = 65536;
+
+struct FaultSpecEntry {
+  std::string selector;
+  std::string action;
+  std::int64_t count = 1;
+  std::int64_t param = 0;
+  bool loop = false;
+
+  // `param` as a size, bit index or duration: throws Error when
+  // negative.
+  std::uint64_t UnsignedParam() const;
+};
+
+// Splits and tokenizes a spec. Throws Error on a malformed entry (no
+// selector, a non-integer or out-of-range count or param) before any
+// script is built.
+std::vector<FaultSpecEntry> TokenizeFaultSpec(const std::string& spec);
+
+// Parses a transport fault spec used by `vizndp_tool --fault`:
+//   selector := send | recv
+//   action   := pass | drop | delay (param: µs) | dup
+//             | truncate (param: bytes) | flip (param: bit index) | down
+// `pass` delivers the frame untouched — it exists to position a later
+// entry at the k-th frame of a conversation (e.g. a kill at a mid-stream
+// chunk boundary). Examples:
 //   "send.drop*2"          drop the first two requests (retry succeeds)
 //   "send.drop+"           black-hole every request (forces fallback)
 //   "recv.delay=2000*3"    delay the first three replies by 2 ms

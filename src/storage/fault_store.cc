@@ -1,11 +1,10 @@
 #include "storage/fault_store.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 #include <thread>
 
 #include "common/error.h"
+#include "net/fault.h"
 #include "net/retry.h"
 
 namespace vizndp::storage {
@@ -25,19 +24,6 @@ const char* OpName(StoreOp op) {
 }
 
 }  // namespace
-
-const char* StoreFaultKindName(StoreFaultKind kind) {
-  switch (kind) {
-    case StoreFaultKind::kPass: return "pass";
-    case StoreFaultKind::kEio: return "eio";
-    case StoreFaultKind::kFatal: return "fatal";
-    case StoreFaultKind::kShort: return "short";
-    case StoreFaultKind::kDelay: return "delay";
-    case StoreFaultKind::kFlip: return "flip";
-    case StoreFaultKind::kStatLie: return "lie";
-  }
-  return "?";
-}
 
 void FaultInjectingStore::Script(StoreOp op,
                                  std::vector<StoreFaultAction> script,
@@ -219,29 +205,25 @@ std::vector<ObjectInfo> FaultInjectingStore::List(const std::string& bucket,
 
 namespace {
 
-StoreFaultAction ParseStoreAction(const std::string& name, long param) {
+StoreFaultAction ParseStoreAction(const net::FaultSpecEntry& e) {
+  const std::string& name = e.action;
   if (name == "eio") return StoreFaultAction::Eio();
   if (name == "fatal") return StoreFaultAction::Fatal();
-  if (name == "short") {
-    return StoreFaultAction::Short(static_cast<std::uint64_t>(param));
-  }
+  if (name == "short") return StoreFaultAction::Short(e.UnsignedParam());
   if (name == "delay") {
-    return StoreFaultAction::Delay(std::chrono::microseconds(param));
+    return StoreFaultAction::Delay(
+        std::chrono::microseconds(e.UnsignedParam()));
   }
-  if (name == "flip") {
-    return StoreFaultAction::Flip(static_cast<std::uint64_t>(param));
-  }
-  if (name == "lie") return StoreFaultAction::StatLie(param);
+  if (name == "flip") return StoreFaultAction::Flip(e.UnsignedParam());
+  if (name == "lie") return StoreFaultAction::StatLie(e.param);
   throw Error("unknown store fault action '" + name + "'");
 }
 
+// The selector table is OpName's, read backwards.
 StoreOp ParseStoreOp(const std::string& name) {
-  if (name == "get") return StoreOp::kGet;
-  if (name == "range") return StoreOp::kGetRange;
-  if (name == "read") return StoreOp::kRead;
-  if (name == "put") return StoreOp::kPut;
-  if (name == "stat") return StoreOp::kStat;
-  if (name == "any") return StoreOp::kAny;
+  for (int i = 0; i <= static_cast<int>(StoreOp::kAny); ++i) {
+    if (name == OpName(static_cast<StoreOp>(i))) return static_cast<StoreOp>(i);
+  }
   throw Error("unknown store fault op '" + name +
               "' (get|range|read|put|stat|any)");
 }
@@ -250,48 +232,19 @@ StoreOp ParseStoreOp(const std::string& name) {
 
 std::vector<StoreFaultSpecEntry> ParseStoreFaultSpec(const std::string& spec) {
   // One entry per distinct op selector: repeated selectors append to the
-  // same script, mirroring how ParseFaultSpec merges per direction.
+  // same script.
   std::vector<StoreFaultSpecEntry> out;
-  auto entry_for = [&out](StoreOp op) -> StoreFaultSpecEntry& {
-    for (StoreFaultSpecEntry& e : out) {
-      if (e.op == op) return e;
+  for (const net::FaultSpecEntry& e : net::TokenizeFaultSpec(spec)) {
+    const StoreOp op = ParseStoreOp(e.selector);
+    auto slot = std::find_if(out.begin(), out.end(),
+                             [op](const auto& s) { return s.op == op; });
+    if (slot == out.end()) {
+      out.push_back(StoreFaultSpecEntry{op, {}, false});
+      slot = out.end() - 1;
     }
-    out.push_back(StoreFaultSpecEntry{op, {}, false});
-    return out.back();
-  };
-  std::stringstream ss(spec);
-  std::string entry;
-  while (std::getline(ss, entry, ',')) {
-    if (entry.empty()) continue;
-    bool loop = false;
-    if (entry.back() == '+') {
-      loop = true;
-      entry.pop_back();
-    }
-    const size_t dot = entry.find('.');
-    if (dot == std::string::npos) {
-      throw Error("store fault entry '" + entry +
-                  "' needs an op prefix (get|range|read|put|stat|any)");
-    }
-    const StoreOp op = ParseStoreOp(entry.substr(0, dot));
-    std::string rest = entry.substr(dot + 1);
-    long count = 1;
-    if (const size_t star = rest.find('*'); star != std::string::npos) {
-      count = std::atol(rest.c_str() + star + 1);
-      rest = rest.substr(0, star);
-      if (count < 1) {
-        throw Error("store fault count must be >= 1 in '" + entry + "'");
-      }
-    }
-    long param = 0;
-    if (const size_t eq = rest.find('='); eq != std::string::npos) {
-      param = std::atol(rest.c_str() + eq + 1);
-      rest = rest.substr(0, eq);
-    }
-    const StoreFaultAction action = ParseStoreAction(rest, param);
-    StoreFaultSpecEntry& slot = entry_for(op);
-    for (long i = 0; i < count; ++i) slot.script.push_back(action);
-    if (loop) slot.loop_last = true;
+    slot->script.insert(slot->script.end(), static_cast<size_t>(e.count),
+                        ParseStoreAction(e));
+    if (e.loop) slot->loop_last = true;
   }
   return out;
 }

@@ -38,8 +38,6 @@ enum class StoreFaultKind : std::uint8_t {
   kStatLie,  // Stat size += delta
 };
 
-const char* StoreFaultKindName(StoreFaultKind kind);
-
 // Which operations a script entry applies to. `kRead` matches both Get
 // and GetRange; `kAny` matches every store call.
 enum class StoreOp : std::uint8_t {
@@ -161,15 +159,13 @@ class FaultInjectingStore final : public ObjectStore {
   StoreFaultStats stats_;
 };
 
-// Parses a compact store-fault spec used by `vizndp_tool serve
-// --store-fault` and the testbeds:
-//   spec    := entry (',' entry)*
-//   entry   := op '.' action ['*' count] ['=' param]
-//   op      := get | range | read | put | stat | any
-//   action  := eio | fatal | short (param: bytes kept)
-//            | delay (param: µs) | flip (param: bit index)
-//            | lie (param: size delta, may be negative)
-// A trailing '+' on an entry loops its action forever. Examples:
+// Parses a store-fault spec used by `vizndp_tool serve --store-fault`
+// and the testbeds, in the grammar of net::TokenizeFaultSpec:
+//   selector := get | range | read | put | stat | any
+//   action   := eio | fatal | short (param: bytes kept)
+//             | delay (param: µs) | flip (param: bit index)
+//             | lie (param: size delta, may be negative)
+// Examples:
 //   "read.eio*2"        first two reads fail transiently (retry heals)
 //   "get.fatal+"        every whole-object read fails permanently
 //   "any.delay=5000*3"  the next three ops stall 5 ms (slow-disk window)

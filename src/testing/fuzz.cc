@@ -97,34 +97,14 @@ Bytes SelectParamsSeed() {
   return msgpack::Encode(msgpack::Value(std::move(params)));
 }
 
-// The protocol-level validation NdpServer::Bind performs on a sharded
-// ndp.select params frame, with the shape checks made explicit so every
-// hostile frame gets a typed rejection (the dispatch path reaches storage
-// next; fuzzing stops at the parse).
-void ValidateSelectParams(ByteSpan input) {
+// The server's own ndp.select param parse, behind the sharded request
+// shape's precondition (a restriction, so at least 6 params).
+void ValidateShardedSelect(ByteSpan input) {
   const msgpack::Value v = msgpack::Decode(input);
-  if (!v.Is<msgpack::Array>()) {
-    throw DecodeError("select frame: params is not an array");
+  if (!v.Is<msgpack::Array>() || v.As<msgpack::Array>().size() < 6) {
+    throw DecodeError("select frame: not an array of at least 6 params");
   }
-  const msgpack::Array& p = v.As<msgpack::Array>();
-  if (p.size() < 6) {
-    throw DecodeError("select frame: expected 6 params, got " +
-                      std::to_string(p.size()));
-  }
-  for (size_t i = 0; i < 3; ++i) {
-    if (!p[i].Is<std::string>()) {
-      throw DecodeError("select frame: param " + std::to_string(i) +
-                        " is not a string");
-    }
-  }
-  if (!p[3].Is<msgpack::Array>()) {
-    throw DecodeError("select frame: isovalues is not an array");
-  }
-  for (const msgpack::Value& iso : p[3].As<msgpack::Array>()) {
-    (void)iso.AsDouble();
-  }
-  (void)p[4].AsUint();  // encoding tag
-  (void)ndp::BrickRestrictionFromValue(p[5]);
+  (void)ndp::SelectRequestFromParams(v.As<msgpack::Array>());
 }
 
 // A complete, valid chunked ndp.select reply stream — header, two
@@ -305,7 +285,7 @@ std::vector<FuzzTarget> BuiltinFuzzTargets() {
   // underscore), hence the dash in the name.
   targets.push_back({"ndp-select", [] { return SelectParamsSeed(); },
                      [](ByteSpan input, size_t) {
-                       ValidateSelectParams(input);
+                       ValidateShardedSelect(input);
                      }});
 
   targets.push_back({"ndp-stream", [] { return StreamFramesSeed(); },

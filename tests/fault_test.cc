@@ -93,8 +93,6 @@ TEST(Fault, TamperedSelectionPayloadRejected) {
   const contour::Selection sel =
       contour::SelectInterestingPoints(dims, a, iso);
   for (const auto encoding : {ndp::SelectionEncoding::kIdValue,
-                              ndp::SelectionEncoding::kDeltaVarint,
-                              ndp::SelectionEncoding::kBitmap,
                               ndp::SelectionEncoding::kRunLength}) {
     Bytes payload = ndp::EncodeSelection(sel, encoding);
     // Claim twice as many points as the payload carries.

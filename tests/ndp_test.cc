@@ -5,11 +5,15 @@
 #include "bench_util/testbed.h"
 #include "contour/marching_cubes.h"
 #include "io/vnd_format.h"
+#include "msgpack/pack.h"
+#include "msgpack/unpack.h"
 #include "ndp/catalog.h"
 #include "ndp/protocol.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pipeline/elements.h"
+#include "rpc/protocol.h"
+#include "rpc/server.h"
 #include "sim/impact.h"
 
 namespace vizndp::ndp {
@@ -72,8 +76,6 @@ TEST_P(EncodingRoundTripTest, DecodeRecoversSelection) {
 
 INSTANTIATE_TEST_SUITE_P(Encodings, EncodingRoundTripTest,
                          ::testing::Values(SelectionEncoding::kIdValue,
-                                           SelectionEncoding::kDeltaVarint,
-                                           SelectionEncoding::kBitmap,
                                            SelectionEncoding::kRunLength));
 
 TEST(Encoding, EmptySelection) {
@@ -81,32 +83,39 @@ TEST(Encoding, EmptySelection) {
   sel.dims = {4, 4, 4};
   sel.total_points = 64;
   sel.values = grid::DataArray("f", grid::DataType::Float32, Bytes{});
-  for (const auto e : {SelectionEncoding::kIdValue,
-                       SelectionEncoding::kDeltaVarint,
-                       SelectionEncoding::kBitmap,
-                       SelectionEncoding::kRunLength}) {
+  for (const auto e :
+       {SelectionEncoding::kIdValue, SelectionEncoding::kRunLength}) {
     const Bytes payload = EncodeSelection(sel, e);
     const DecodedSelection back = DecodeSelection(payload, sel.dims);
     EXPECT_TRUE(back.ids.empty());
   }
 }
 
-TEST(Encoding, DeltaVarintIsSmallerThanIdValueForClusteredIds) {
+TEST(Encoding, RunLengthIsSmallerThanIdValueForClusteredIds) {
   const grid::Dims dims{20, 20, 20};
   const contour::Selection sel = MakeSelection(2, dims);
   const size_t idv = EncodeSelection(sel, SelectionEncoding::kIdValue).size();
-  const size_t dv =
-      EncodeSelection(sel, SelectionEncoding::kDeltaVarint).size();
-  EXPECT_LT(dv, idv);
+  const size_t rl = EncodeSelection(sel, SelectionEncoding::kRunLength).size();
+  EXPECT_LT(rl, idv);
 }
 
 TEST(Encoding, MalformedPayloadsThrow) {
   const grid::Dims dims{4, 4, 4};
   EXPECT_THROW(DecodeSelection(Bytes{0, 0}, dims), DecodeError);
-  // Unknown tag.
+  // Unknown tags. Tags 1 and 2 are the retired delta-varint and bitmap
+  // layouts; each payload below is a well-formed empty selection in its
+  // retired layout ([tag][type][count = 0], bitmap adds [points][bits]).
+  Bytes delta_varint(10, 0);
+  delta_varint[0] = 1;
+  Bytes bitmap(10 + 8 + 8, 0);
+  bitmap[0] = 2;
+  StoreLE<std::uint64_t>(64, bitmap.data() + 10);
   Bytes bad(16, 0);
   bad[0] = 99;
-  EXPECT_THROW(DecodeSelection(bad, dims), DecodeError);
+  for (const Bytes& payload : {delta_varint, bitmap, bad}) {
+    EXPECT_THROW(DecodeSelection(payload, dims), DecodeError)
+        << int{payload[0]};
+  }
   // Valid header claiming more ids than the payload carries.
   contour::Selection sel;
   sel.dims = dims;
@@ -153,7 +162,7 @@ TEST(NdpServer, SelectReturnsExpectedMetadata) {
   NdpServer server(fx.testbed.LocalGateway());
   const msgpack::Value reply =
       server.Select(PopulatedTestbed::kKey, "v02", {0.1},
-                    SelectionEncoding::kDeltaVarint);
+                    SelectionEncoding::kRunLength);
   EXPECT_EQ(reply.At("dims").As<msgpack::Array>().at(0).AsInt(), 24);
   EXPECT_EQ(reply.At("dtype").As<std::string>(), "float32");
   EXPECT_GT(reply.At("selected").AsUint(), 0u);
@@ -161,6 +170,45 @@ TEST(NdpServer, SelectReturnsExpectedMetadata) {
   EXPECT_GT(reply.At("payload").As<Bytes>().size(), 0u);
   EXPECT_LT(reply.At("payload").As<Bytes>().size(),
             reply.At("raw_bytes").AsUint());
+}
+
+// An ndp.select whose encoding tag is not a served layout gets a typed
+// error reply before the server touches storage: the retired tags 1 and
+// 2, an unassigned tag, and a tag that truncates to a served one (259 =
+// 3 mod 256).
+TEST(NdpServer, UnknownEncodingTagRejectedBeforeStorage) {
+  PopulatedTestbed fx;
+  const auto frame = [](std::int64_t msgid, std::uint64_t tag) {
+    msgpack::Array params{msgpack::Value(std::string("data")),
+                          msgpack::Value(std::string(PopulatedTestbed::kKey)),
+                          msgpack::Value(std::string("v02")),
+                          msgpack::Value(msgpack::Array{msgpack::Value(0.1)}),
+                          msgpack::Value(tag)};
+    return msgpack::Encode(msgpack::Value(msgpack::Array{
+        msgpack::Value(rpc::kRequestType), msgpack::Value(msgid),
+        msgpack::Value(std::string(kRpcNdpSelect)),
+        msgpack::Value(std::move(params))}));
+  };
+  const auto error_of = [&](std::int64_t msgid, std::uint64_t tag) {
+    const msgpack::Value reply =
+        msgpack::Decode(fx.testbed.rpc_server().Dispatch(frame(msgid, tag)));
+    const msgpack::Value& error = reply.As<msgpack::Array>().at(2);
+    return error.IsNil() ? std::string() : error.As<std::string>();
+  };
+  obs::Counter& bytes_in =
+      fx.testbed.ndp_server().metrics().GetCounter("ndp_bytes_in_total");
+  std::int64_t msgid = 1;
+  for (const std::uint64_t tag : {1u, 2u, 7u, 259u}) {
+    SCOPED_TRACE(tag);
+    const std::uint64_t before = bytes_in.value();
+    EXPECT_NE(error_of(msgid++, tag).find("unknown selection encoding tag"),
+              std::string::npos);
+    EXPECT_EQ(bytes_in.value(), before);
+  }
+  // The same frame with a served tag reads storage and succeeds.
+  const std::uint64_t before = bytes_in.value();
+  EXPECT_EQ(error_of(msgid++, 3), "");
+  EXPECT_GT(bytes_in.value(), before);
 }
 
 TEST(NdpServer, InfoListsArrays) {
@@ -230,10 +278,8 @@ TEST(NdpEndToEnd, AllEncodingsGiveTheSameContour)
   const std::vector<double> isovalues = {0.3};
   contour::PolyData reference;
   bool first = true;
-  for (const auto encoding : {SelectionEncoding::kIdValue,
-                              SelectionEncoding::kDeltaVarint,
-                              SelectionEncoding::kBitmap,
-                              SelectionEncoding::kRunLength}) {
+  for (const auto encoding :
+       {SelectionEncoding::kIdValue, SelectionEncoding::kRunLength}) {
     fx.testbed.ndp_client().SetEncoding(encoding);
     contour::PolyData poly = fx.testbed.ndp_client().Contour(
         PopulatedTestbed::kKey, "v02", isovalues);

@@ -485,6 +485,21 @@ TEST(FaultSpec, MalformedSpecThrows) {
   EXPECT_THROW(ParseFaultSpec("sideways.drop"), Error);
   EXPECT_THROW(ParseFaultSpec("send.explode"), Error);
   EXPECT_THROW(ParseFaultSpec("send."), Error);
+  // Numbers are whole integers: no trailing characters, no empty value.
+  EXPECT_THROW(ParseFaultSpec("send.drop*2x"), Error);
+  EXPECT_THROW(ParseFaultSpec("recv.delay=abc"), Error);
+  EXPECT_THROW(ParseFaultSpec("recv.delay="), Error);
+  EXPECT_THROW(ParseFaultSpec("send.drop*"), Error);
+  EXPECT_THROW(ParseFaultSpec("send.drop*2*3"), Error);
+  EXPECT_THROW(ParseFaultSpec("recv.delay*3=2000"), Error);  // '*' goes last
+  EXPECT_THROW(ParseFaultSpec("send.drop*99999999999999999999"), Error);
+  // The count is capped before any script is built.
+  EXPECT_THROW(ParseFaultSpec("send.drop*65537"), Error);
+  EXPECT_EQ(ParseFaultSpec("send.drop*65536").send_script.size(), 65536u);
+  // Sizes, bit indices and durations are non-negative.
+  EXPECT_THROW(ParseFaultSpec("send.truncate=-1"), Error);
+  EXPECT_THROW(ParseFaultSpec("send.flip=-8"), Error);
+  EXPECT_THROW(ParseFaultSpec("recv.delay=-5"), Error);
 }
 
 // ---------------------------------------------------------------------------

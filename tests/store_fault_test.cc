@@ -65,6 +65,17 @@ TEST(StoreFaultSpec, RejectsMalformed) {
   EXPECT_THROW(ParseStoreFaultSpec("read.unknownaction"), Error);
   EXPECT_THROW(ParseStoreFaultSpec("read"), Error);
   EXPECT_THROW(ParseStoreFaultSpec("read.eio*0"), Error);  // count >= 1
+  // Numbers are whole integers: no trailing characters, no empty value.
+  EXPECT_THROW(ParseStoreFaultSpec("read.eio*2x"), Error);
+  EXPECT_THROW(ParseStoreFaultSpec("read.delay=abc"), Error);
+  EXPECT_THROW(ParseStoreFaultSpec("read.short="), Error);
+  EXPECT_THROW(ParseStoreFaultSpec("read.eio*-1"), Error);
+  // The count is capped before any script is built.
+  EXPECT_THROW(ParseStoreFaultSpec("read.eio*65537"), Error);
+  // Only `lie` takes a negative param.
+  EXPECT_THROW(ParseStoreFaultSpec("read.short=-1"), Error);
+  EXPECT_THROW(ParseStoreFaultSpec("get.flip=-1"), Error);
+  EXPECT_THROW(ParseStoreFaultSpec("any.delay=-1"), Error);
 }
 
 // ----------------------------------------------------------- decorator

@@ -268,8 +268,7 @@ TEST(Stream, StreamedFetchMatchesMonolithic) {
     return merge.Take(acc.header);
   };
   for (const SelectionEncoding encoding :
-       {SelectionEncoding::kIdValue, SelectionEncoding::kDeltaVarint,
-        SelectionEncoding::kBitmap, SelectionEncoding::kRunLength}) {
+       {SelectionEncoding::kIdValue, SelectionEncoding::kRunLength}) {
     client.SetEncoding(encoding);
     for (const bool restricted : {false, true}) {
       const std::vector<std::int64_t>* only = restricted ? &slice : nullptr;

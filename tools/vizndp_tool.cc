@@ -6,7 +6,7 @@
 //   vizndp_tool contour --in FILE --array NAME --iso V[,V...]
 //                       [--obj FILE] [--ppm FILE]
 //   vizndp_tool select  --in FILE --array NAME --iso V[,V...]
-//                       [--encoding id+value|delta-varint|bitmap|run-length]
+//                       [--encoding id+value|run-length]
 //   vizndp_tool serve   --dir DIR [--port P] [--max-inflight N]
 //                       [--mem-budget-mb N] [--drain-ms N]  (storage node)
 //   vizndp_tool fetch   --host H --port P --key K --array NAME --iso V[,V...]
@@ -94,7 +94,8 @@ namespace {
                "  info    --in FILE\n"
                "  contour --in FILE --array NAME --iso V[,V...] [--obj FILE]\n"
                "          [--ppm FILE]\n"
-               "  select  --in FILE --array NAME --iso V[,V...] [--encoding E]\n"
+               "  select  --in FILE --array NAME --iso V[,V...]\n"
+               "          [--encoding id+value|run-length]\n"
                "  serve   --dir DIR [--port P] [--timeout-ms N]\n"
                "          [--max-inflight N] [--mem-budget-mb N] [--drain-ms N]\n"
                "          [--scrub-ms N] [--store-fault SPEC]\n"
@@ -378,8 +379,6 @@ int CmdSelect(const Args& args) {
 
   const std::map<std::string, ndp::SelectionEncoding> encodings = {
       {"id+value", ndp::SelectionEncoding::kIdValue},
-      {"delta-varint", ndp::SelectionEncoding::kDeltaVarint},
-      {"bitmap", ndp::SelectionEncoding::kBitmap},
       {"run-length", ndp::SelectionEncoding::kRunLength},
   };
   const std::string enc_name = args.Get("encoding").value_or("run-length");
