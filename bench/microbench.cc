@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the substrate layers: codec
 // throughput (compress + decompress per input family), selection scan
-// rate, marching cubes rate, msgpack packing, and the selection wire
-// encodings. These are the numbers that explain where the milliseconds
-// in the figure benches go.
+// rate, marching cubes rate, the client's sparse scatter and contour,
+// msgpack packing, and the selection wire encodings. These are the
+// numbers that explain where the milliseconds in the figure benches go.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -10,6 +10,7 @@
 #include "compress/codec.h"
 #include "contour/marching_cubes.h"
 #include "contour/select.h"
+#include "contour/sparse_field.h"
 #include "msgpack/pack.h"
 #include "msgpack/unpack.h"
 #include "ndp/protocol.h"
@@ -81,6 +82,60 @@ void BM_MarchingCubes(benchmark::State& state) {
                           ds.dims().CellCount());
 }
 BENCHMARK(BM_MarchingCubes);
+
+// The client post-filter on a real selection: v02 at 128^3, isovalue
+// 0.5, as one ndp.select reply would deliver it.
+const contour::Selection& ImpactSelection128() {
+  static const contour::Selection sel = [] {
+    sim::ImpactConfig cfg;
+    cfg.n = 128;
+    const grid::Dataset ds = sim::GenerateImpactTimestep(cfg, 24006, {"v02"});
+    const double isos[] = {0.5};
+    return contour::SelectInterestingPoints(ds.dims(), ds.GetArray("v02"),
+                                            isos);
+  }();
+  return sel;
+}
+
+// Arg: deliveries the selection arrives in, interleaved in id order (a
+// stream's chunks or a sharded fetch's replies), so every run spans the
+// whole id range. The first read (ValidCount) sorts the runs.
+void BM_SparseFieldScatter(benchmark::State& state) {
+  const contour::Selection& sel = ImpactSelection128();
+  const auto runs = static_cast<size_t>(state.range(0));
+  std::vector<std::vector<grid::PointId>> run_ids(runs);
+  std::vector<std::vector<float>> run_values(runs);
+  const std::span<const float> values = sel.values.View<float>();
+  for (size_t r = 0; r < sel.ids.size(); ++r) {
+    run_ids[r % runs].push_back(sel.ids[r]);
+    run_values[r % runs].push_back(values[r]);
+  }
+  std::vector<grid::DataArray> arrays;
+  for (auto& v : run_values) {
+    arrays.push_back(grid::DataArray::FromVector("v02", std::move(v)));
+  }
+  for (auto _ : state) {
+    contour::SparseField field(sel.dims, grid::DataType::Float32);
+    for (size_t r = 0; r < runs; ++r) field.Scatter(run_ids[r], arrays[r]);
+    benchmark::DoNotOptimize(field.ValidCount());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sel.ids.size()));
+}
+BENCHMARK(BM_SparseFieldScatter)->Arg(1)->Arg(16)->Arg(256);
+
+void BM_SparseContour(benchmark::State& state) {
+  const contour::Selection& sel = ImpactSelection128();
+  const contour::SparseField field =
+      contour::SparseField::FromSelection(sel, grid::DataType::Float32);
+  const double isos[] = {0.5};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(field.Contour(grid::UniformGeometry{}, isos));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sel.ids.size()));
+}
+BENCHMARK(BM_SparseContour);
 
 void BM_SelectionEncode(benchmark::State& state,
                         ndp::SelectionEncoding encoding) {

@@ -19,13 +19,21 @@ PolyData MarchingSquaresT(const grid::Dims& dims, const Geo& geometry,
                    "marching squares needs at least a 2x2 grid");
 
   PolyData out;
-  detail::SquareCellProcessor<T, Geo> processor(dims, geometry, values.data(),
-                                                out);
+  detail::SquareCellProcessor<T, Geo> processor(dims, geometry, out);
+  const std::int64_t nx = dims.nx;
+  const T* v = values.data();
   for (const double iso : isovalues) {
-    processor.BeginIsovalue(iso);
+    // Edge-cache slots are a two-row window: row j's points take slots
+    // (j & 1) * nx + i.
+    processor.BeginIsovalue(iso, 2 * nx);
     for (std::int64_t j = 0; j + 1 < dims.ny; ++j) {
+      const std::int64_t lo = (j & 1) * nx;
+      const std::int64_t hi = nx - lo;
+      if (j > 0) processor.ForgetSlots(hi, nx);  // row j-1's slots
       for (std::int64_t i = 0; i + 1 < dims.nx; ++i) {
-        processor.ProcessCell(i, j);
+        const grid::PointId id = i + nx * j;
+        processor.ProcessCell(
+            {{id, id + nx}, {lo + i, hi + i}, {v + id, v + id + nx}});
       }
     }
   }

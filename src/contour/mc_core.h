@@ -2,9 +2,19 @@
 // (marching_cubes.cc) and the NDP post-filter's sparse reconstruction
 // (sparse_field.cc). Both paths must produce bit-identical geometry, so
 // all per-cell logic lives here exactly once.
+//
+// A cell reaches the processor as corner rows: the 3D rows are (j, k),
+// (j+1, k), (j, k+1), (j+1, k+1), and each row holds the corners at i
+// and i+1, adjacent both in point ids and in the caller's value array.
+// Each row also names the edge-cache slot of its corner at i (the corner
+// at i+1 has slot + 1). The dense filter's slots index a two-plane
+// window of the grid; the sparse field's are ranks among its sorted
+// ids. Either way edge vertices are found in one flat array.
 #pragma once
 
-#include <unordered_map>
+#include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "contour/mc_tables.h"
 #include "contour/polydata.h"
@@ -19,29 +29,63 @@ bool Inside(T value, double iso) {
   return static_cast<double>(value) >= iso;
 }
 
+template <typename T, int kRows>
+struct CellRows {
+  grid::PointId id[kRows];  // point id of the row's corner at i
+  std::int64_t slot[kRows];  // edge-cache slot of that corner
+  const T* value[kRows];     // value[r][0] at i, value[r][1] at i+1
+};
+
+// Edge key (slot of the edge's lower endpoint * axes + axis) -> output
+// point index, reset per isovalue.
+template <int kAxes>
+class EdgeVertexCache {
+ public:
+  static constexpr PolyData::Index kNone =
+      std::numeric_limits<PolyData::Index>::max();
+
+  void Reset(std::int64_t slots) {
+    entries_.assign(static_cast<size_t>(slots * kAxes), kNone);
+  }
+  // Forgets slots [begin, begin + count) so a sliding window can reuse
+  // them.
+  void Forget(std::int64_t begin, std::int64_t count) {
+    std::fill_n(entries_.begin() + begin * kAxes, count * kAxes, kNone);
+  }
+  PolyData::Index& At(std::int64_t slot, int axis) {
+    return entries_[static_cast<size_t>(slot * kAxes + axis)];
+  }
+
+ private:
+  std::vector<PolyData::Index> entries_;
+};
+
 template <typename T, typename Geo = grid::UniformGeometry>
 class CellProcessor {
  public:
-  CellProcessor(const grid::Dims& dims, const Geo& geo, const T* values,
-                PolyData& out)
-      : dims_(dims), geo_(geo), values_(values), out_(out) {}
+  using Rows = CellRows<T, 4>;
+
+  CellProcessor(const grid::Dims& dims, const Geo& geo, PolyData& out)
+      : dims_(dims), geo_(geo), out_(out) {}
 
   // Call before each isovalue pass: edge-vertex identity is per isovalue.
-  void BeginIsovalue(double iso) {
+  // Slots of the pass lie in [0, slots).
+  void BeginIsovalue(double iso, std::int64_t slots) {
     iso_ = iso;
-    edge_vertices_.clear();
+    edge_vertices_.Reset(slots);
   }
 
-  // Emits triangles for the cell whose lowest corner is (i, j, k).
-  void ProcessCell(std::int64_t i, std::int64_t j, std::int64_t k) {
-    grid::PointId corner_ids[8];
+  void ForgetSlots(std::int64_t begin, std::int64_t count) {
+    edge_vertices_.Forget(begin, count);
+  }
+
+  // Emits triangles for the cell whose corner rows are `rows`.
+  void ProcessCell(const Rows& rows) {
     T corner_values[8];
     unsigned case_index = 0;
     for (int c = 0; c < 8; ++c) {
       const auto& off = kCornerOffsets[static_cast<size_t>(c)];
-      const grid::PointId id = dims_.Index(i + off[0], j + off[1], k + off[2]);
-      corner_ids[c] = id;
-      corner_values[c] = values_[id];
+      corner_values[c] = rows.value[off[1] + 2 * off[2]][off[0]];
       if (Inside(corner_values[c], iso_)) {
         case_index |= 1u << c;
       }
@@ -52,7 +96,7 @@ class CellProcessor {
     PolyData::Index edge_point[12];
     for (int e = 0; e < 12; ++e) {
       if (edge_mask & (1u << e)) {
-        edge_point[e] = VertexOnEdge(e, corner_ids, corner_values);
+        edge_point[e] = VertexOnEdge(e, rows, corner_values);
       }
     }
     const auto& tris = kMcTriTable[case_index];
@@ -64,25 +108,30 @@ class CellProcessor {
   }
 
  private:
-  PolyData::Index VertexOnEdge(int e, const grid::PointId* corner_ids,
+  PolyData::Index VertexOnEdge(int e, const Rows& rows,
                                const T* corner_values) {
     const int ca = kEdgeCorners[static_cast<size_t>(e)][0];
     const int cb = kEdgeCorners[static_cast<size_t>(e)][1];
-    grid::PointId pa = corner_ids[ca];
-    grid::PointId pb = corner_ids[cb];
+    const auto& oa = kCornerOffsets[static_cast<size_t>(ca)];
+    const auto& ob = kCornerOffsets[static_cast<size_t>(cb)];
+    const int ra = oa[1] + 2 * oa[2];
+    const int rb = ob[1] + 2 * ob[2];
+    grid::PointId pa = rows.id[ra] + oa[0];
+    grid::PointId pb = rows.id[rb] + ob[0];
+    std::int64_t slot = rows.slot[ra] + oa[0];
     double va = static_cast<double>(corner_values[ca]);
     double vb = static_cast<double>(corner_values[cb]);
     if (pa > pb) {
       std::swap(pa, pb);
       std::swap(va, vb);
+      slot = rows.slot[rb] + ob[0];
     }
     // Grid edges are axis-aligned; pb - pa is the stride of the axis.
     const std::int64_t stride = pb - pa;
     const int axis = stride == 1 ? 0 : (stride == dims_.nx ? 1 : 2);
-    const std::int64_t key = pa * 3 + axis;
 
-    const auto [it, inserted] = edge_vertices_.try_emplace(key, 0);
-    if (!inserted) return it->second;
+    PolyData::Index& cached = edge_vertices_.At(slot, axis);
+    if (cached != EdgeVertexCache<3>::kNone) return cached;
 
     // va != vb on a crossed edge (see Inside()), so t is well defined.
     const double t = (iso_ - va) / (vb - va);
@@ -91,17 +140,15 @@ class CellProcessor {
     const Vec3 p{a_pos[0] + t * (b_pos[0] - a_pos[0]),
                  a_pos[1] + t * (b_pos[1] - a_pos[1]),
                  a_pos[2] + t * (b_pos[2] - a_pos[2])};
-    it->second = out_.AddPoint(p);
-    return it->second;
+    cached = out_.AddPoint(p);
+    return cached;
   }
 
   grid::Dims dims_;
   const Geo& geo_;  // caller keeps the geometry alive
-  const T* values_;
   PolyData& out_;
   double iso_ = 0.0;
-  // Edge key (canonical point id * 3 + axis) -> output point index.
-  std::unordered_map<std::int64_t, PolyData::Index> edge_vertices_;
+  EdgeVertexCache<3> edge_vertices_;
 };
 
 }  // namespace vizndp::contour::detail

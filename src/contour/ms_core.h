@@ -4,9 +4,7 @@
 // geometry from identical inputs.
 #pragma once
 
-#include <unordered_map>
-
-#include "contour/mc_core.h"  // detail::Inside
+#include "contour/mc_core.h"  // Inside, CellRows, EdgeVertexCache
 #include "contour/polydata.h"
 #include "grid/dims.h"
 
@@ -41,30 +39,35 @@ inline constexpr std::array<std::array<std::int8_t, 5>, 16> kSqSegments = {{
 template <typename T, typename Geo = grid::UniformGeometry>
 class SquareCellProcessor {
  public:
-  SquareCellProcessor(const grid::Dims& dims, const Geo& geo, const T* values,
-                      PolyData& out)
-      : dims_(dims), geo_(geo), values_(values), out_(out) {}
+  // Rows j and j+1, in the corner-row form of mc_core.h.
+  using Rows = CellRows<T, 2>;
 
-  void BeginIsovalue(double iso) {
+  SquareCellProcessor(const grid::Dims& dims, const Geo& geo, PolyData& out)
+      : dims_(dims), geo_(geo), out_(out) {}
+
+  void BeginIsovalue(double iso, std::int64_t slots) {
     iso_ = iso;
-    edge_vertices_.clear();
+    edge_vertices_.Reset(slots);
   }
 
-  void ProcessCell(std::int64_t i, std::int64_t j) {
-    const grid::PointId corner_ids[4] = {
-        dims_.Index(i, j), dims_.Index(i + 1, j), dims_.Index(i + 1, j + 1),
-        dims_.Index(i, j + 1)};
+  void ForgetSlots(std::int64_t begin, std::int64_t count) {
+    edge_vertices_.Forget(begin, count);
+  }
+
+  void ProcessCell(const Rows& rows) {
     double corner_values[4];
     unsigned case_index = 0;
     for (int c = 0; c < 4; ++c) {
-      corner_values[c] =
-          static_cast<double>(values_[corner_ids[c]]);
+      corner_values[c] = static_cast<double>(
+          rows.value[kSqCornerRow[static_cast<size_t>(c)]]
+                    [kSqCornerDx[static_cast<size_t>(c)]]);
       if (Inside(corner_values[c], iso_)) case_index |= 1u << c;
     }
     if (case_index == 0 || case_index == 15) return;
 
     const auto emit = [&](int ea, int eb) {
-      out_.AddLine(VertexOnEdge(ea, corner_ids), VertexOnEdge(eb, corner_ids));
+      out_.AddLine(VertexOnEdge(ea, rows, corner_values),
+                   VertexOnEdge(eb, rows, corner_values));
     };
     if (case_index == 5 || case_index == 10) {
       const double center = 0.25 * (corner_values[0] + corner_values[1] +
@@ -96,30 +99,40 @@ class SquareCellProcessor {
   }
 
  private:
-  PolyData::Index VertexOnEdge(int e, const grid::PointId* corner_ids) {
-    grid::PointId pa = corner_ids[kSqEdgeCorners[static_cast<size_t>(e)][0]];
-    grid::PointId pb = corner_ids[kSqEdgeCorners[static_cast<size_t>(e)][1]];
-    if (pa > pb) std::swap(pa, pb);
+  // Corner c sits in row kSqCornerRow[c] at i + kSqCornerDx[c].
+  static constexpr int kSqCornerRow[4] = {0, 0, 1, 1};
+  static constexpr int kSqCornerDx[4] = {0, 1, 1, 0};
+
+  PolyData::Index VertexOnEdge(int e, const Rows& rows,
+                               const double* corner_values) {
+    const int ca = kSqEdgeCorners[static_cast<size_t>(e)][0];
+    const int cb = kSqEdgeCorners[static_cast<size_t>(e)][1];
+    grid::PointId pa = rows.id[kSqCornerRow[ca]] + kSqCornerDx[ca];
+    grid::PointId pb = rows.id[kSqCornerRow[cb]] + kSqCornerDx[cb];
+    std::int64_t slot = rows.slot[kSqCornerRow[ca]] + kSqCornerDx[ca];
+    double va = corner_values[ca];
+    double vb = corner_values[cb];
+    if (pa > pb) {
+      std::swap(pa, pb);
+      std::swap(va, vb);
+      slot = rows.slot[kSqCornerRow[cb]] + kSqCornerDx[cb];
+    }
     const int axis = (pb - pa == 1) ? 0 : 1;
-    const std::int64_t key = pa * 2 + axis;
-    const auto [it, inserted] = edge_vertices_.try_emplace(key, 0);
-    if (!inserted) return it->second;
-    const double va = static_cast<double>(values_[pa]);
-    const double vb = static_cast<double>(values_[pb]);
+    PolyData::Index& cached = edge_vertices_.At(slot, axis);
+    if (cached != EdgeVertexCache<2>::kNone) return cached;
     const double t = (iso_ - va) / (vb - va);
     const auto a_pos = geo_.PointPosition(dims_, pa);
     const auto b_pos = geo_.PointPosition(dims_, pb);
-    it->second = out_.AddPoint({a_pos[0] + t * (b_pos[0] - a_pos[0]),
-                                a_pos[1] + t * (b_pos[1] - a_pos[1]), 0.0});
-    return it->second;
+    cached = out_.AddPoint({a_pos[0] + t * (b_pos[0] - a_pos[0]),
+                            a_pos[1] + t * (b_pos[1] - a_pos[1]), 0.0});
+    return cached;
   }
 
   grid::Dims dims_;
   const Geo& geo_;  // caller keeps the geometry alive
-  const T* values_;
   PolyData& out_;
   double iso_ = 0.0;
-  std::unordered_map<std::int64_t, PolyData::Index> edge_vertices_;
+  EdgeVertexCache<2> edge_vertices_;
 };
 
 }  // namespace vizndp::contour::detail

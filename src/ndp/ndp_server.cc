@@ -395,7 +395,8 @@ msgpack::Value NdpServer::Info(const std::string& key) {
 
 msgpack::Value NdpServer::Stats(const std::string& key,
                                 const std::string& array, int bins) {
-  VIZNDP_CHECK_MSG(bins >= 1 && bins <= 4096, "bins must be in [1, 4096]");
+  VIZNDP_CHECK_MSG(bins >= 1 && bins <= kMaxStatsBins,
+                   "bins must be in [1, 4096]");
   metrics_.GetCounter("ndp_stats_requests_total").Increment();
   obs::Span total_span("ndp.stats");
   const io::VndReader reader(gateway_.Open(key));
@@ -462,11 +463,11 @@ void NdpServer::Bind(rpc::Server& server) {
                       req.stream ? &*req.stream : nullptr, sink);
       });
   server.Bind(kRpcNdpInfo, [this](const Array& p) -> Value {
-    return Info(p.at(1).As<std::string>());
+    return Info(InfoKeyFromParams(p));
   });
   server.Bind(kRpcNdpStats, [this](const Array& p) -> Value {
-    return Stats(p.at(1).As<std::string>(), p.at(2).As<std::string>(),
-                 static_cast<int>(p.at(3).AsInt()));
+    const StatsRequest req = StatsRequestFromParams(p);
+    return Stats(req.key, req.array, req.bins);
   });
   // Telemetry scrape: this server's pre-filter registry, the rpc
   // dispatcher's per-method registry, and the process-wide substrate

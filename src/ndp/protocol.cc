@@ -142,6 +142,29 @@ SelectRequest SelectRequestFromParams(const msgpack::Array& p) {
   return req;
 }
 
+StatsRequest StatsRequestFromParams(const msgpack::Array& p) {
+  if (p.size() < 4 || !p[0].Is<std::string>() || !p[1].Is<std::string>() ||
+      !p[2].Is<std::string>() || !p[3].IsInteger()) {
+    throw DecodeError("ndp.stats: params must be [bucket, key, array, bins]");
+  }
+  const msgpack::Value& bins = p[3];
+  const bool negative = bins.Is<std::int64_t>() && bins.AsInt() < 0;
+  if (negative || bins.AsUint() < 1 ||
+      bins.AsUint() > static_cast<std::uint64_t>(kMaxStatsBins)) {
+    throw DecodeError("ndp.stats: bins must be in [1, " +
+                      std::to_string(kMaxStatsBins) + "]");
+  }
+  return StatsRequest{p[1].As<std::string>(), p[2].As<std::string>(),
+                      static_cast<int>(bins.AsUint())};
+}
+
+std::string InfoKeyFromParams(const msgpack::Array& p) {
+  if (p.size() < 2 || !p[0].Is<std::string>() || !p[1].Is<std::string>()) {
+    throw DecodeError("ndp.info: params must be [bucket, key]");
+  }
+  return p[1].As<std::string>();
+}
+
 msgpack::Value StreamHeaderToValue(const StreamHeader& header) {
   using msgpack::Array;
   using msgpack::Value;

@@ -129,6 +129,20 @@ struct SelectRequest {
 // DecodeError on any malformed param, including an unknown encoding tag.
 SelectRequest SelectRequestFromParams(const msgpack::Array& params);
 
+// The one parse of ndp.stats params, [bucket, key, array, bins]. The
+// bin count is range-checked as the 64-bit value it arrives as, before
+// it is narrowed; throws DecodeError on any malformed param.
+inline constexpr std::int64_t kMaxStatsBins = 4096;
+struct StatsRequest {
+  std::string key;
+  std::string array;
+  int bins = 0;  // in [1, kMaxStatsBins]
+};
+StatsRequest StatsRequestFromParams(const msgpack::Array& params);
+
+// The one parse of ndp.info params, [bucket, key]: returns the key.
+std::string InfoKeyFromParams(const msgpack::Array& params);
+
 struct StreamHeader {
   grid::Dims dims;
   double origin[3] = {0, 0, 0};

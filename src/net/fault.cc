@@ -231,6 +231,12 @@ std::uint64_t FaultSpecEntry::UnsignedParam() const {
   return static_cast<std::uint64_t>(param);
 }
 
+void FaultSpecEntry::RejectParam() const {
+  if (has_param) {
+    throw Error("fault action '" + action + "' takes no param");
+  }
+}
+
 std::vector<FaultSpecEntry> TokenizeFaultSpec(const std::string& spec) {
   std::vector<FaultSpecEntry> out;
   std::stringstream ss(spec);
@@ -259,6 +265,7 @@ std::vector<FaultSpecEntry> TokenizeFaultSpec(const std::string& spec) {
     }
     if (const size_t eq = rest.find('='); eq != std::string_view::npos) {
       e.param = ParseFaultNumber(rest.substr(eq + 1), entry);
+      e.has_param = true;
       rest = rest.substr(0, eq);
     }
     e.action = rest;
@@ -271,15 +278,27 @@ namespace {
 
 FaultAction ParseAction(const FaultSpecEntry& e) {
   const std::string& name = e.action;
-  if (name == "pass") return FaultAction::Pass();
-  if (name == "drop") return FaultAction::Drop();
+  if (name == "pass") {
+    e.RejectParam();
+    return FaultAction::Pass();
+  }
+  if (name == "drop") {
+    e.RejectParam();
+    return FaultAction::Drop();
+  }
   if (name == "delay") {
     return FaultAction::Delay(std::chrono::microseconds(e.UnsignedParam()));
   }
-  if (name == "dup") return FaultAction::Duplicate();
+  if (name == "dup") {
+    e.RejectParam();
+    return FaultAction::Duplicate();
+  }
   if (name == "truncate") return FaultAction::Truncate(e.UnsignedParam());
   if (name == "flip") return FaultAction::BitFlip(e.UnsignedParam());
-  if (name == "down") return FaultAction::Disconnect();
+  if (name == "down") {
+    e.RejectParam();
+    return FaultAction::Disconnect();
+  }
   throw Error("unknown fault action '" + name + "'");
 }
 

@@ -132,7 +132,8 @@ class FaultInjectingTransport final : public Transport {
 // `count` (default 1, at most kMaxFaultCount) repeats the action; a
 // trailing '+' loops the entry's action forever. Numbers are whole
 // decimal integers; `param` (default 0) may be negative, and each action
-// table decides whether that makes sense. Empty entries are skipped.
+// table decides whether that makes sense; an action that takes no param
+// rejects one. Empty entries are skipped.
 // Each side owns its selector and action tables and appends `count`
 // copies of the action to the one script of the entry's selector.
 inline constexpr std::int64_t kMaxFaultCount = 65536;
@@ -142,11 +143,16 @@ struct FaultSpecEntry {
   std::string action;
   std::int64_t count = 1;
   std::int64_t param = 0;
+  bool has_param = false;  // the entry spelled '=param'
   bool loop = false;
 
   // `param` as a size, bit index or duration: throws Error when
   // negative.
   std::uint64_t UnsignedParam() const;
+  // For actions that take no param: throws Error when one was given,
+  // so `send.dup=2` (a typo for `send.dup*2`) is not silently read as
+  // one duplicate.
+  void RejectParam() const;
 };
 
 // Splits and tokenizes a spec. Throws Error on a malformed entry (no

@@ -207,8 +207,14 @@ namespace {
 
 StoreFaultAction ParseStoreAction(const net::FaultSpecEntry& e) {
   const std::string& name = e.action;
-  if (name == "eio") return StoreFaultAction::Eio();
-  if (name == "fatal") return StoreFaultAction::Fatal();
+  if (name == "eio") {
+    e.RejectParam();
+    return StoreFaultAction::Eio();
+  }
+  if (name == "fatal") {
+    e.RejectParam();
+    return StoreFaultAction::Fatal();
+  }
   if (name == "short") return StoreFaultAction::Short(e.UnsignedParam());
   if (name == "delay") {
     return StoreFaultAction::Delay(

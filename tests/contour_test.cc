@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <random>
 #include <set>
 
@@ -515,6 +517,204 @@ TEST_P(SparseEquivalence2DTest, NdpContourMatchesDense2D) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseEquivalence2DTest,
                          ::testing::Range(3000u, 3010u));
 
+// The exact-order oracle: the sparse post-filter emits the dense
+// filter's points in the same order and the same index lists, not just
+// an equivalent surface (the benchmark hashes the output as it is).
+void ExpectSameOutput(const PolyData& sparse, const PolyData& dense) {
+  ASSERT_GT(dense.PointCount(), 0u);
+  EXPECT_EQ(sparse.points(), dense.points());
+  EXPECT_EQ(sparse.triangles(), dense.triangles());
+  EXPECT_EQ(sparse.lines(), dense.lines());
+}
+
+// Random values in [0, 1] everywhere, boundary planes included, so
+// mixed cells touch the last i, j and k planes of the grid.
+grid::DataArray RandomArray(const grid::Dims& d, grid::DataType type,
+                            unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<double> f(static_cast<size_t>(d.PointCount()));
+  for (auto& v : f) v = static_cast<double>(rng() % 1000) / 999.0;
+  if (type == grid::DataType::Float64) {
+    return grid::DataArray::FromVector("f", f);
+  }
+  return grid::DataArray::FromVector("f",
+                                     std::vector<float>(f.begin(), f.end()));
+}
+
+grid::RectilinearGeometry StretchedGeometry(const grid::Dims& d) {
+  const auto axis = [](std::int64_t n, double ratio) {
+    std::vector<double> out;
+    double x = -1.0;
+    double step = 0.5;
+    for (std::int64_t i = 0; i < n; ++i) {
+      out.push_back(x);
+      x += step;
+      step *= ratio;
+    }
+    return out;
+  };
+  return grid::RectilinearGeometry(axis(d.nx, 1.1), axis(d.ny, 1.2),
+                                   axis(d.nz, 1.3));
+}
+
+PolyData DenseContour(const grid::Dims& d, const grid::DataArray& a,
+                      const grid::RectilinearGeometry* rect,
+                      std::span<const double> isos) {
+  if (d.Is2D()) {
+    return rect != nullptr ? MarchingSquares(d, *rect, a, isos)
+                           : MarchingSquares(d, grid::UniformGeometry{}, a,
+                                             isos);
+  }
+  return rect != nullptr ? MarchingCubes(d, *rect, a, isos)
+                         : MarchingCubes(d, grid::UniformGeometry{}, a, isos);
+}
+
+PolyData SparseContour(const SparseField& field,
+                       const grid::RectilinearGeometry* rect,
+                       std::span<const double> isos) {
+  return rect != nullptr ? field.Contour(*rect, isos)
+                         : field.Contour(grid::UniformGeometry{}, isos);
+}
+
+// Every combination of dimensionality, value type and geometry, at
+// several isovalues at once.
+TEST(SparseFieldExact, MatchesDenseOrderOnEveryShape) {
+  const std::vector<double> isos = {0.2, 0.5, 0.8};
+  for (const grid::Dims d : {grid::Dims{13, 11, 9}, grid::Dims{17, 13, 1}}) {
+    for (const grid::DataType type :
+         {grid::DataType::Float32, grid::DataType::Float64}) {
+      for (const bool rectilinear : {false, true}) {
+        for (unsigned seed = 0; seed < 3; ++seed) {
+          SCOPED_TRACE(d.ToString() + " " + grid::DataTypeName(type) +
+                       (rectilinear ? " rectilinear" : " uniform") +
+                       " seed " + std::to_string(seed));
+          const grid::DataArray a = RandomArray(d, type, 4000 + seed);
+          const grid::RectilinearGeometry geo = StretchedGeometry(d);
+          const grid::RectilinearGeometry* rect =
+              rectilinear ? &geo : nullptr;
+          const SparseField field = SparseField::FromSelection(
+              SelectInterestingPoints(d, a, isos), type);
+          ExpectSameOutput(SparseContour(field, rect, isos),
+                           DenseContour(d, a, rect, isos));
+        }
+      }
+    }
+  }
+}
+
+// The field as shards and streams deliver it: runs out of id order, an
+// id+value run that is not sorted, ghost points shipped twice, and a
+// stale value for an id that a later delivery corrects (the latest
+// write wins, within a run and across runs).
+TEST(SparseFieldExact, ShuffledDeliveriesWithGhostDuplicates) {
+  for (const grid::Dims d : {grid::Dims{13, 11, 9}, grid::Dims{17, 13, 1}}) {
+    SCOPED_TRACE(d.ToString());
+    const std::vector<double> isos = {0.3, 0.6};
+    const grid::DataArray a = RandomArray(d, grid::DataType::Float32, 4100);
+    const Selection sel = SelectInterestingPoints(d, a, isos);
+    const std::span<const float> values = sel.values.View<float>();
+    ASSERT_GT(sel.ids.size(), 100u);
+
+    struct Run {
+      std::vector<grid::PointId> ids;
+      std::vector<float> values;
+    };
+    // Four interleaved runs, each ascending, plus every 7th point again
+    // as a ghost duplicate of run 0.
+    std::vector<Run> runs(4);
+    for (size_t r = 0; r < sel.ids.size(); ++r) {
+      runs[r % 4].ids.push_back(sel.ids[r]);
+      runs[r % 4].values.push_back(values[r]);
+      if (r % 7 == 0) {
+        runs[0].ids.push_back(sel.ids[r]);
+        runs[0].values.push_back(values[r]);
+      }
+    }
+    // Run 0 is no longer ascending; reverse run 2 as well.
+    std::reverse(runs[2].ids.begin(), runs[2].ids.end());
+    std::reverse(runs[2].values.begin(), runs[2].values.end());
+    // Stale values inside one run, each corrected later in that run.
+    const size_t run3 = runs[3].ids.size();
+    for (size_t r = 0; r < run3; r += 3) {
+      runs[3].ids.insert(runs[3].ids.begin(), runs[3].ids[run3 - 1 - r]);
+      runs[3].values.insert(runs[3].values.begin(), 1000.0f);
+    }
+    // A stale run first: every 5th point inside every isovalue.
+    Run stale;
+    for (size_t r = 0; r < sel.ids.size(); r += 5) {
+      stale.ids.push_back(sel.ids[r]);
+      stale.values.push_back(1000.0f);
+    }
+
+    SparseField field(d, grid::DataType::Float32);
+    for (const Run* run : {&stale, &runs[3], &runs[1], &runs[0], &runs[2]}) {
+      field.Scatter(run->ids, grid::DataArray::FromVector("f", run->values));
+    }
+    EXPECT_EQ(field.ValidCount(), static_cast<std::int64_t>(sel.ids.size()));
+    ExpectSameOutput(SparseContour(field, nullptr, isos),
+                     DenseContour(d, a, nullptr, isos));
+
+    // Delivered last, the stale run wins and the surface changes.
+    field.Scatter(stale.ids, grid::DataArray::FromVector("f", stale.values));
+    EXPECT_NE(SparseContour(field, nullptr, isos).points(),
+              DenseContour(d, a, nullptr, isos).points());
+  }
+}
+
+// With every grid point delivered, consecutive ids also run across row
+// and plane ends (i = nx-1 to i = 0, j = ny-1 to j = 0). No cell may
+// start on the last i or j plane, and the cells on the far planes must
+// all be found.
+TEST(SparseFieldExact, FullDeliveryMatchesDense) {
+  for (const grid::Dims d : {grid::Dims{7, 5, 4}, grid::Dims{9, 6, 1},
+                             grid::Dims{2, 2, 2}, grid::Dims{2, 3, 1}}) {
+    SCOPED_TRACE(d.ToString());
+    const std::vector<double> isos = {0.25, 0.5, 0.75};
+    const grid::DataArray a = RandomArray(d, grid::DataType::Float64, 4200);
+    std::vector<grid::PointId> all(static_cast<size_t>(d.PointCount()));
+    for (size_t id = 0; id < all.size(); ++id) {
+      all[id] = static_cast<grid::PointId>(id);
+    }
+    SparseField field(d, grid::DataType::Float64);
+    field.Scatter(all, a);
+    const PolyData dense = DenseContour(d, a, nullptr, isos);
+    if (dense.PointCount() == 0) continue;
+    ExpectSameOutput(SparseContour(field, nullptr, isos), dense);
+  }
+}
+
+std::int64_t PeakRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return -1;
+}
+
+// Memory scales with the selection: one mixed cell on a 1024^3 grid.
+// A grid-sized field would touch about 4 GB here, so this test must
+// not be run against such an implementation.
+TEST(SparseField, MemoryScalesWithTheSelection) {
+  const std::int64_t before_kb = PeakRssKb();
+  if (before_kb < 0) GTEST_SKIP() << "no VmHWM in /proc/self/status";
+  const grid::Dims d{1024, 1024, 1024};
+  SparseField field(d, grid::DataType::Float32);
+  std::vector<grid::PointId> ids;
+  std::vector<float> values;
+  for (const auto& off : kCornerOffsets) {
+    ids.push_back(d.Index(500 + off[0], 600 + off[1], 700 + off[2]));
+    values.push_back(ids.size() == 1 ? 1.0f : 0.0f);  // corner 0 inside
+  }
+  field.Scatter(ids, grid::DataArray::FromVector("v", values));
+  const double iso[] = {0.5};
+  const PolyData poly = field.Contour(grid::UniformGeometry{}, iso);
+  EXPECT_EQ(field.ValidCount(), 8);
+  EXPECT_EQ(poly.TriangleCount(), 1u);
+  EXPECT_EQ(poly.PointCount(), 3u);
+  EXPECT_LT(PeakRssKb() - before_kb, 16 * 1024);
+}
+
 TEST(SparseField, ScatterAndValidity) {
   SparseField field(grid::Dims{4, 4, 4}, grid::DataType::Float32);
   EXPECT_EQ(field.ValidCount(), 0);
@@ -527,6 +727,10 @@ TEST(SparseField, ScatterAndValidity) {
   EXPECT_FALSE(field.IsValid(6));
   // Re-scattering the same id does not double count.
   field.Scatter(ids, values);
+  EXPECT_EQ(field.ValidCount(), 3);
+  // A run that starts at the field's last id overlaps it by one point.
+  field.Scatter(std::vector<grid::PointId>{63}, grid::DataArray::FromVector(
+                                                   "v", std::vector<float>{4.0f}));
   EXPECT_EQ(field.ValidCount(), 3);
 }
 

@@ -211,6 +211,41 @@ TEST(NdpServer, UnknownEncodingTagRejectedBeforeStorage) {
   EXPECT_GT(bytes_in.value(), before);
 }
 
+// ndp.stats range-checks its bin count as the 64-bit value it arrives
+// as: 2^32 + 5 would narrow to a valid 5. Like a bad ndp.select tag, a
+// bad count gets a typed error before the server touches storage.
+TEST(NdpServer, StatsBinsOutOfRangeRejectedBeforeNarrowing) {
+  PopulatedTestbed fx;
+  std::int64_t msgid = 1;
+  const auto error_of = [&](msgpack::Value bins) {
+    msgpack::Array params{msgpack::Value(std::string("data")),
+                          msgpack::Value(std::string(PopulatedTestbed::kKey)),
+                          msgpack::Value(std::string("v02")),
+                          std::move(bins)};
+    const Bytes frame = msgpack::Encode(msgpack::Value(msgpack::Array{
+        msgpack::Value(rpc::kRequestType), msgpack::Value(msgid++),
+        msgpack::Value(std::string(kRpcNdpStats)),
+        msgpack::Value(std::move(params))}));
+    const msgpack::Value reply =
+        msgpack::Decode(fx.testbed.rpc_server().Dispatch(frame));
+    const msgpack::Value& error = reply.As<msgpack::Array>().at(2);
+    return error.IsNil() ? std::string() : error.As<std::string>();
+  };
+  obs::Counter& requests = fx.testbed.ndp_server().metrics().GetCounter(
+      "ndp_stats_requests_total");
+  for (const msgpack::Value& bins :
+       {msgpack::Value((std::uint64_t{1} << 32) + 5),
+        msgpack::Value(std::int64_t{-3}), msgpack::Value(std::uint64_t{0}),
+        msgpack::Value(std::uint64_t{4097}), msgpack::Value(0.5)}) {
+    const std::uint64_t before = requests.value();
+    const std::string error = error_of(bins);
+    EXPECT_NE(error.find("ndp.stats"), std::string::npos) << error;
+    EXPECT_EQ(requests.value(), before);
+  }
+  EXPECT_EQ(error_of(msgpack::Value(std::uint64_t{5})), "");
+  EXPECT_EQ(error_of(msgpack::Value(std::int64_t{4096})), "");
+}
+
 TEST(NdpServer, InfoListsArrays) {
   PopulatedTestbed fx("gzip");
   NdpServer server(fx.testbed.LocalGateway());
@@ -393,8 +428,9 @@ TEST(NdpStats, BrickIndexedFileUsesHeaderRangeFastPath) {
   const auto [lo, hi] = ds.GetArray("v02").Range();
   EXPECT_DOUBLE_EQ(reply.At("min").AsDouble(), lo);
   EXPECT_DOUBLE_EQ(reply.At("max").AsDouble(), hi);
-  const obs::MetricSnapshot* fastpath = obs::FindMetric(
-      server.metrics().Snapshot(), "ndp_stats_index_fastpath_total");
+  const std::vector<obs::MetricSnapshot> metrics = server.metrics().Snapshot();
+  const obs::MetricSnapshot* fastpath =
+      obs::FindMetric(metrics, "ndp_stats_index_fastpath_total");
   ASSERT_NE(fastpath, nullptr);
   EXPECT_DOUBLE_EQ(fastpath->value, 1.0);
 }

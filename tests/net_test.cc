@@ -500,6 +500,12 @@ TEST(FaultSpec, MalformedSpecThrows) {
   EXPECT_THROW(ParseFaultSpec("send.truncate=-1"), Error);
   EXPECT_THROW(ParseFaultSpec("send.flip=-8"), Error);
   EXPECT_THROW(ParseFaultSpec("recv.delay=-5"), Error);
+  // Actions that take no param reject one rather than drop it.
+  EXPECT_THROW(ParseFaultSpec("send.dup=2"), Error);
+  EXPECT_THROW(ParseFaultSpec("send.drop=0"), Error);
+  EXPECT_THROW(ParseFaultSpec("recv.pass=1*8"), Error);
+  EXPECT_THROW(ParseFaultSpec("recv.down=3"), Error);
+  EXPECT_EQ(ParseFaultSpec("send.dup*2").send_script.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -76,6 +76,10 @@ TEST(StoreFaultSpec, RejectsMalformed) {
   EXPECT_THROW(ParseStoreFaultSpec("read.short=-1"), Error);
   EXPECT_THROW(ParseStoreFaultSpec("get.flip=-1"), Error);
   EXPECT_THROW(ParseStoreFaultSpec("any.delay=-1"), Error);
+  // Actions that take no param reject one rather than drop it.
+  EXPECT_THROW(ParseStoreFaultSpec("read.eio=2"), Error);
+  EXPECT_THROW(ParseStoreFaultSpec("get.fatal=0+"), Error);
+  EXPECT_EQ(ParseStoreFaultSpec("read.eio*2").at(0).script.size(), 2u);
 }
 
 // ----------------------------------------------------------- decorator
