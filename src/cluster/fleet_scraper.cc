@@ -262,22 +262,6 @@ FleetScraper::ScrapeOnce() {
   return snap;
 }
 
-std::chrono::microseconds FleetScraper::JitteredPeriod(
-    std::uint64_t tick) const {
-  const auto base =
-      std::chrono::duration_cast<std::chrono::microseconds>(options_.period);
-  // Same seeded jitter as HealthMonitor: pure in (seed, tick), so a
-  // fixed-seed run sleeps the same schedule every time and distinct
-  // scrapers decorrelate.
-  const std::uint64_t r =
-      net::MixBits(options_.seed ^ (tick * 0x9E3779B97F4A7C15ull));
-  const double u = static_cast<double>(r >> 11) / 9007199254740992.0;
-  const double scale = 1.0 + options_.jitter_frac * (2.0 * u - 1.0);
-  auto out = std::chrono::microseconds(
-      static_cast<std::int64_t>(static_cast<double>(base.count()) * scale));
-  return out.count() > 0 ? out : std::chrono::microseconds(1);
-}
-
 void FleetScraper::Start() {
   {
     std::lock_guard lk(run_mu_);
@@ -307,8 +291,9 @@ void FleetScraper::Loop() {
   for (;;) {
     {
       std::unique_lock lk(run_mu_);
-      run_cv_.wait_for(lk, JitteredPeriod(++tick),
-                       [this] { return !running_; });
+      run_cv_.wait_for(
+          lk, net::JitteredPeriod(options_.period, options_.seed, ++tick),
+          [this] { return !running_; });
       if (!running_) return;
     }
     ScrapeOnce();

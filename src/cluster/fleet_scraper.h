@@ -40,14 +40,13 @@ struct FleetScraperOptions {
   // Sweep interval; jittered like HealthMonitor so N scrapers with
   // different seeds never hit the fleet in lockstep.
   std::chrono::milliseconds period{1000};
-  double jitter_frac = 0.25;
   std::uint64_t seed = 1;
   // Slow-node rule: windowed p95 > slow_factor x fleet median p95, with
   // at least slow_min_samples observations behind the node's window.
   double slow_factor = 3.0;
   std::uint64_t slow_min_samples = 8;
   // Minimum fleet-merged window observations before the hedge hint is
-  // pushed (mirrors ShardedClientOptions::min_hedge_samples).
+  // pushed (mirrors the sharded client's own 16-sample minimum).
   std::uint64_t hedge_min_samples = 16;
   // Objectives handed to the embedded SloTracker; empty = no SLOs.
   std::vector<obs::SloObjective> objectives;
@@ -135,7 +134,6 @@ class FleetScraper {
 
  private:
   void Loop();
-  std::chrono::microseconds JitteredPeriod(std::uint64_t tick) const;
 
   std::vector<std::shared_ptr<ndp::NdpClient>> nodes_;
   FleetScraperOptions options_;

@@ -37,10 +37,10 @@
 namespace vizndp::cluster {
 
 struct HealthMonitorOptions {
-  // Probe sweep interval; each sleep is jittered by ±jitter_frac so N
-  // monitors with different seeds never sweep in lockstep.
+  // Probe sweep interval; each sleep is jittered by ±25 % (see
+  // net::JitteredPeriod) so N monitors with different seeds never sweep
+  // in lockstep.
   std::chrono::milliseconds period{100};
-  double jitter_frac = 0.25;
   std::uint64_t seed = 1;
   // Consecutive failed probes before live → suspect, and total suspicion
   // before suspect → dead. Healthy probes decay suspicion by one.
@@ -100,7 +100,6 @@ class HealthMonitor {
  private:
   void Publish();
   void Loop();
-  std::chrono::microseconds JitteredPeriod(std::uint64_t tick) const;
 
   std::vector<std::shared_ptr<ndp::NdpClient>> probes_;
   HealthMonitorOptions options_;

@@ -15,6 +15,12 @@ namespace vizndp::cluster {
 
 namespace {
 
+// The adaptive hedge delay (ShardedClientOptions::hedge_ms == 0).
+constexpr double kHedgeQuantile = 0.95;
+constexpr double kHedgeFloorMs = 25.0;
+constexpr std::uint64_t kMinHedgeSamples = 16;
+constexpr std::int64_t kHedgeHintTtlUs = 10'000'000;
+
 std::string ShardTag(int shard) { return std::to_string(shard); }
 
 obs::WindowedHistogram& SubfetchHistogram() {
@@ -186,7 +192,7 @@ std::optional<std::chrono::microseconds> ShardedNdpClient::HedgeDelay()
     // (it sees every node, not just the shards this client drew), then
     // this client's own sliding window, then the cumulative series, and
     // the floor while everything is cold.
-    ms = options_.hedge_floor_ms;
+    ms = kHedgeFloorMs;
     const double hint = hedge_hint_seconds_.load(std::memory_order_relaxed);
     const std::int64_t hint_at =
         hedge_hint_at_us_.load(std::memory_order_relaxed);
@@ -195,23 +201,19 @@ std::optional<std::chrono::microseconds> ShardedNdpClient::HedgeDelay()
             std::chrono::steady_clock::now().time_since_epoch())
             .count();
     const bool hint_fresh =
-        hint > 0 && hint_at > 0 &&
-        now_us - hint_at <
-            1000 * static_cast<std::int64_t>(options_.hedge_hint_ttl_ms);
+        hint > 0 && hint_at > 0 && now_us - hint_at < kHedgeHintTtlUs;
     if (hint_fresh) {
-      ms = std::max(options_.hedge_floor_ms, 1e3 * hint);
+      ms = std::max(kHedgeFloorMs, 1e3 * hint);
     } else {
       const obs::MetricSnapshot window = subfetch_seconds_.WindowSnapshot();
-      if (window.count >= options_.min_hedge_samples) {
-        ms = std::max(
-            options_.hedge_floor_ms,
-            1e3 * obs::SnapshotQuantile(window, options_.hedge_quantile));
-      } else if (subfetch_seconds_.cumulative().count() >=
-                 options_.min_hedge_samples) {
-        ms = std::max(options_.hedge_floor_ms,
+      if (window.count >= kMinHedgeSamples) {
+        ms = std::max(kHedgeFloorMs,
+                      1e3 * obs::SnapshotQuantile(window, kHedgeQuantile));
+      } else if (subfetch_seconds_.cumulative().count() >= kMinHedgeSamples) {
+        ms = std::max(kHedgeFloorMs,
                       1e3 * obs::HistogramQuantile(
                                 subfetch_seconds_.cumulative(),
-                                options_.hedge_quantile));
+                                kHedgeQuantile));
       }
     }
   }

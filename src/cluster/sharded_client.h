@@ -40,16 +40,12 @@ namespace vizndp::cluster {
 
 struct ShardedClientOptions {
   // Hedge policy. Negative disables hedging; positive is a fixed delay
-  // in milliseconds; zero (default) adapts: the delay is the
-  // hedge_quantile of cluster_subfetch_seconds once min_hedge_samples
-  // observations exist, hedge_floor_ms while the histogram is cold.
-  double hedge_ms = 0;
-  double hedge_quantile = 0.95;
-  double hedge_floor_ms = 25.0;
-  std::uint64_t min_hedge_samples = 16;
-  // How long a SetHedgeHint value stays authoritative before the delay
+  // in milliseconds; zero (default) adapts: the delay is the p95 of
+  // cluster_subfetch_seconds once 16 observations exist, and never below
+  // a 25 ms floor, which is also the delay while the histogram is cold.
+  // A SetHedgeHint value stays authoritative for 10 s before the delay
   // falls back to this client's own latency window.
-  double hedge_hint_ttl_ms = 10000.0;
+  double hedge_ms = 0;
 };
 
 // Drop-in NdpFetcher over a fleet of NDP servers. Every server must
@@ -107,11 +103,17 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   std::shared_ptr<const FleetView> fleet_view() const;
 
   // Fleet-wide windowed sub-fetch tail (seconds), normally pushed by a
-  // cluster::FleetScraper after each sweep. While fresh (hedge_hint_ttl_
-  // ms) it overrides the process-local latency window in HedgeDelay —
+  // cluster::FleetScraper after each sweep. While fresh (10 s) it
+  // overrides the process-local latency window in HedgeDelay —
   // a hedging client benefits from latency every node observed, not
   // just the shards it happened to draw. <= 0 clears the hint.
   void SetHedgeHint(double seconds);
+
+  // Blocks until every parked hedge loser has finished. A loser keeps
+  // running on its node's NdpClient after the race is decided, so call
+  // this before reconfiguring those clients (SetStreamProgress,
+  // SetStreamCancel), which the loser still reads.
+  void JoinParkedHedges() { Reap(/*wait=*/true); }
 
   // The adaptive hedge delay the next sub-fetch would use (nullopt =
   // hedging disabled). Public so tests and dashboards can read the

@@ -490,37 +490,6 @@ bool VndReader::HasBricks(const std::string& name) const {
   return meta->bricks.has_value();
 }
 
-grid::DataArray VndReader::ReadBrick(const std::string& name,
-                                     std::int64_t brick) const {
-  const ArrayMeta* meta = header_.Find(name);
-  VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + name + "' in VND file");
-  VIZNDP_CHECK_MSG(meta->bricks.has_value(),
-                   "array '" + name + "' is not bricked");
-  const BrickGrid bgrid(header_.dims, meta->bricks->edge);
-  VIZNDP_CHECK(brick >= 0 &&
-               brick < static_cast<std::int64_t>(meta->bricks->entries.size()));
-  const BrickEntry& entry = meta->bricks->entries[static_cast<size_t>(brick)];
-  const Bytes stored = file_.ReadAt(
-      header_.blob_base + meta->offset + entry.offset, entry.stored_size);
-  if (stored.size() != entry.stored_size) {
-    throw CorruptDataError("brick blob truncated: " + name);
-  }
-  // Verify *before* decompressing: the decoder never sees corrupt bytes.
-  if (meta->bricks->has_crc && compress::Crc32(stored) != entry.crc32) {
-    throw CorruptDataError("brick CRC mismatch: " + name + " brick " +
-                           std::to_string(brick));
-  }
-  const BrickGrid::Extent e = bgrid.BrickExtent(brick);
-  const size_t slab_bytes =
-      static_cast<size_t>(e.PointCount()) * grid::DataTypeSize(meta->type);
-  const compress::CodecPtr codec = compress::MakeCodec(meta->codec);
-  Bytes slab = codec->Decompress(stored, slab_bytes, slab_bytes);
-  if (slab.size() != slab_bytes) {
-    throw CorruptDataError("brick decompressed to wrong size: " + name);
-  }
-  return grid::DataArray(name, meta->type, std::move(slab));
-}
-
 grid::Dataset VndReader::ReadSelected(
     const std::vector<std::string>& names) const {
   grid::Dataset out(header_.dims, header_.geometry);

@@ -161,11 +161,6 @@ class VndReader {
 
   bool HasBricks(const std::string& name) const;
 
-  // Fetches and decompresses one brick's point slab (row-major within the
-  // brick extent). Only that brick's bytes leave the store.
-  grid::DataArray ReadBrick(const std::string& name,
-                            std::int64_t brick) const;
-
   // Raw ranged read within one array's stored blob (offsets relative to
   // the blob start). Used to coalesce multi-brick fetches.
   Bytes ReadArrayRange(const std::string& name, std::uint64_t offset,

@@ -23,7 +23,7 @@ contour::Selection BrickedSelectT(const io::VndReader& reader,
                                   const io::ArrayMeta& meta,
                                   std::span<const double> isovalues,
                                   BrickedSelectStats* stats,
-                                  std::vector<std::int64_t> needed,
+                                  const std::vector<std::int64_t>& needed,
                                   const storage::QuarantineSet* quarantine,
                                   const std::string& quarantine_key) {
   const grid::Dims dims = reader.header().dims;
@@ -74,55 +74,65 @@ contour::Selection BrickedSelectT(const io::VndReader& reader,
     local.scan_seconds += SecondsSince(t_scan);
   };
 
+  // One individual read of brick `b`, verified before the decoder sees
+  // it: the recovery rung of a brick that failed its CRC inside a run,
+  // and the only read of a quarantined brick. Persistent corruption
+  // throws CorruptDataError and the caller falls back to the whole-blob
+  // path.
+  auto read_verified = [&](std::int64_t b) {
+    const io::BrickEntry& entry =
+        meta.bricks->entries[static_cast<size_t>(b)];
+    Bytes stored =
+        reader.ReadArrayRange(array, entry.offset, entry.stored_size);
+    local.bytes_read += stored.size();
+    if (has_crc && compress::Crc32(stored) != entry.crc32) {
+      throw CorruptDataError("brick CRC mismatch on verified read: " + array +
+                             " brick " + std::to_string(b));
+    }
+    return stored;
+  };
+
   // Bricks the scrubber quarantined leave the coalesced runs: their
   // stored bytes are known bad, so reading them with their neighbors
   // would poison the run and prepay a doomed read+decompress. Each goes
-  // straight to the recovery rung — one individual verified read. A
-  // brick healed by a clean re-Put (which the scrubber has not yet
-  // re-admitted) verifies here and serves normally.
-  if (quarantine != nullptr && !quarantine_key.empty()) {
-    std::vector<std::int64_t> kept;
-    kept.reserve(needed.size());
-    for (const std::int64_t b : needed) {
-      if (!quarantine->Contains(quarantine_key, array, b)) {
-        kept.push_back(b);
-        continue;
-      }
+  // straight to the verified read. A brick healed by a clean re-Put
+  // (which the scrubber has not yet re-admitted) verifies there and
+  // serves normally.
+  const auto quarantined = [&](std::int64_t b) {
+    return quarantine != nullptr && !quarantine_key.empty() &&
+           quarantine->Contains(quarantine_key, array, b);
+  };
+
+  size_t cursor = 0;
+  while (cursor < needed.size()) {
+    const std::int64_t head = needed[cursor];
+    if (quarantined(head)) {
       ++local.quarantine_skips;
       obs::DefaultRegistry()
           .GetCounter("ndp_quarantine_skip_total")
           .Increment();
       obs::GlobalEventLog().Append(
           "ndp.quarantine_skip",
-          "array=" + array + " brick=" + std::to_string(b));
-      const io::BrickEntry& entry =
-          meta.bricks->entries[static_cast<size_t>(b)];
+          "array=" + array + " brick=" + std::to_string(head));
       const auto t_read = std::chrono::steady_clock::now();
-      const Bytes stored =
-          reader.ReadArrayRange(array, entry.offset, entry.stored_size);
-      local.bytes_read += stored.size();
+      const Bytes stored = read_verified(head);
       local.read_seconds += SecondsSince(t_read);
-      if (has_crc && compress::Crc32(stored) != entry.crc32) {
-        throw CorruptDataError("quarantined brick still corrupt: " + array +
-                               " brick " + std::to_string(b));
-      }
-      scan_brick(b, ByteSpan(stored));
+      scan_brick(head, ByteSpan(stored));
+      ++cursor;
+      continue;
     }
-    needed.swap(kept);
-  }
-
-  size_t cursor = 0;
-  while (cursor < needed.size()) {
     // Coalesce runs of consecutive bricks (their blobs are contiguous by
     // construction) into one ranged read: object-store access latency,
-    // not bandwidth, dominates small-brick reads otherwise.
+    // not bandwidth, dominates small-brick reads otherwise. A
+    // quarantined brick ends the run.
     size_t run_end = cursor + 1;
     while (run_end < needed.size() &&
-           needed[run_end] == needed[run_end - 1] + 1) {
+           needed[run_end] == needed[run_end - 1] + 1 &&
+           !quarantined(needed[run_end])) {
       ++run_end;
     }
     const io::BrickEntry& first =
-        meta.bricks->entries[static_cast<size_t>(needed[cursor])];
+        meta.bricks->entries[static_cast<size_t>(head)];
     const io::BrickEntry& last =
         meta.bricks->entries[static_cast<size_t>(needed[run_end - 1])];
     const std::uint64_t run_bytes =
@@ -140,9 +150,8 @@ contour::Selection BrickedSelectT(const io::VndReader& reader,
 
       // Verify-then-decompress, with one recovery re-read. The brick CRC
       // (format v2) is checked *before* the decoder touches the bytes;
-      // on mismatch the brick alone is fetched again — a transient flip
-      // heals, persistent corruption throws CorruptDataError and the
-      // caller falls back to the whole-blob path.
+      // on mismatch the brick alone is fetched again through the
+      // verified read — a transient flip heals there.
       const auto t_decompress = std::chrono::steady_clock::now();
       ByteSpan brick_bytes = ByteSpan(run).subspan(
           entry.offset - first.offset, entry.stored_size);
@@ -158,12 +167,7 @@ contour::Selection BrickedSelectT(const io::VndReader& reader,
         obs::GlobalEventLog().Append(
             "ndp.brick_reread",
             "array=" + array + " brick=" + std::to_string(b));
-        reread = reader.ReadArrayRange(array, entry.offset, entry.stored_size);
-        local.bytes_read += reread.size();
-        if (compress::Crc32(reread) != entry.crc32) {
-          throw CorruptDataError("brick CRC mismatch after re-read: " + array +
-                                 " brick " + std::to_string(b));
-        }
+        reread = read_verified(b);
         brick_bytes = ByteSpan(reread);
       }
       local.read_seconds += SecondsSince(t_decompress);
@@ -233,17 +237,15 @@ contour::Selection SelectInterestingPointsBricked(
   VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
   VIZNDP_CHECK_MSG(meta->bricks.has_value(),
                    "array '" + array + "' is not bricked");
-  std::vector<std::int64_t> bricks =
+  const std::vector<std::int64_t> bricks =
       planned != nullptr ? *planned : PlanBricks(*meta, isovalues);
   switch (meta->type) {
     case grid::DataType::Float32:
       return BrickedSelectT<float>(reader, array, *meta, isovalues, stats,
-                                   std::move(bricks), quarantine,
-                                   quarantine_key);
+                                   bricks, quarantine, quarantine_key);
     case grid::DataType::Float64:
       return BrickedSelectT<double>(reader, array, *meta, isovalues, stats,
-                                    std::move(bricks), quarantine,
-                                    quarantine_key);
+                                    bricks, quarantine, quarantine_key);
     default:
       throw Error("selection requires a floating-point array");
   }

@@ -14,6 +14,17 @@ std::uint64_t MixBits(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+std::chrono::microseconds JitteredPeriod(std::chrono::microseconds period,
+                                         std::uint64_t seed,
+                                         std::uint64_t tick) {
+  const std::uint64_t r = MixBits(seed ^ (tick * 0x9E3779B97F4A7C15ull));
+  const double u = static_cast<double>(r >> 11) * 0x1.0p-53;  // [0, 1)
+  const double scale = 1.0 + kSweepJitter * (2.0 * u - 1.0);
+  const auto out = std::chrono::microseconds(
+      static_cast<std::int64_t>(static_cast<double>(period.count()) * scale));
+  return out.count() > 0 ? out : std::chrono::microseconds(1);
+}
+
 std::chrono::microseconds RetryPolicy::DelayBefore(int retry,
                                                    std::uint64_t salt) const {
   if (retry < 1 || base_delay.count() <= 0) {

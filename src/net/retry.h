@@ -38,6 +38,18 @@ struct RetryPolicy {
 // predict jitter values.
 std::uint64_t MixBits(std::uint64_t x);
 
+// Fraction by which JitteredPeriod spreads a sweep period either way.
+inline constexpr double kSweepJitter = 0.25;
+
+// Sleep before sweep `tick` of a periodic prober (HealthMonitor,
+// FleetScraper): `period` scaled by a factor uniform in
+// [1 - kSweepJitter, 1 + kSweepJitter], at least 1 us. A pure function
+// of (seed, tick), so a fixed-seed run sleeps the same schedule every
+// time and sweepers with distinct seeds never run in lockstep.
+std::chrono::microseconds JitteredPeriod(std::chrono::microseconds period,
+                                         std::uint64_t seed,
+                                         std::uint64_t tick);
+
 // Sleeps for the policy's backoff before the given retry.
 void BackoffSleep(const RetryPolicy& policy, int retry,
                   std::uint64_t salt = 0);

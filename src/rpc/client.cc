@@ -1,6 +1,7 @@
 #include "rpc/client.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.h"
 #include "msgpack/pack.h"
@@ -81,17 +82,16 @@ void MergeReplyPiggyback(const msgpack::Value& piggyback, std::uint64_t t0,
 
 }  // namespace
 
-// One attempt: send the request, then receive until *our* reply arrives.
-// Responses with an older msgid are stale leftovers — a duplicated frame
-// or a reply that outlived its timed-out attempt — and are discarded
-// rather than treated as a protocol violation.
-msgpack::Value Client::CallOnce(const std::string& method,
-                                const msgpack::Array& params,
-                                net::Deadline deadline) {
+// One exchange: send the request, then receive until *our* terminal
+// response arrives. Frames with an older msgid are stale leftovers — a
+// duplicated frame, a reply that outlived its timed-out attempt, a chunk
+// of an abandoned stream — and are discarded rather than treated as a
+// protocol violation.
+std::optional<msgpack::Value> Client::Exchange(
+    const std::string& method, const msgpack::Array& params,
+    net::Deadline deadline, const ChunkCallback* on_chunk,
+    std::chrono::milliseconds chunk_timeout) {
   obs::Tracer& tracer = obs::GlobalTracer();
-  // Each attempt is a distinct tagged child span of the rpc.call span, so
-  // a retried request renders as N attempt boxes, failures included.
-  obs::Span span("rpc.attempt:" + method, tracer);
   const std::uint64_t msgid = next_msgid_++;
 
   msgpack::Array request;
@@ -99,40 +99,78 @@ msgpack::Value Client::CallOnce(const std::string& method,
   request.emplace_back(msgid);
   request.emplace_back(method);
   request.push_back(msgpack::Value(msgpack::Array(params)));
-  // The attempt span installed itself as the thread's current span, so
-  // the ctx sent over the wire parents the server's dispatch span under
-  // *this attempt*. Only sampled contexts travel: with tracing off the
-  // frame keeps the pre-tracing 4-element shape old servers require.
+  // The caller's span (rpc.attempt or rpc.stream) installed itself as the
+  // thread's current span, so the ctx sent over the wire parents the
+  // server's dispatch span under it. Only sampled contexts travel: with
+  // tracing off the frame keeps the pre-tracing 4-element shape old
+  // servers require.
   const obs::TraceContext ctx = obs::CurrentTraceContext();
   const bool traced = ctx.valid() && ctx.sampled;
   if (traced) request.push_back(ContextToValue(ctx));
   const std::uint64_t t0 = tracer.NowMicros();
   transport_->Send(msgpack::Encode(msgpack::Value(std::move(request))));
 
+  bool cancel_sent = false;
   for (;;) {
-    const Bytes reply = transport_->Receive(deadline);
+    // Per-frame deadline: the sooner of the overall deadline and the
+    // chunk progress deadline, remembering which one is binding so a
+    // wedged stream surfaces as StreamStallError (resumable from the
+    // caller's cursor), not a plain timeout.
+    net::Deadline frame_deadline = deadline;
+    bool stall_binding = false;
+    if (chunk_timeout.count() > 0) {
+      const net::Deadline stall =
+          std::chrono::steady_clock::now() + chunk_timeout;
+      if (stall < frame_deadline) {
+        frame_deadline = stall;
+        stall_binding = true;
+      }
+    }
+    Bytes reply;
+    try {
+      reply = transport_->Receive(frame_deadline);
+    } catch (const TimeoutError&) {
+      if (!stall_binding) throw;
+      metrics()
+          .GetCounter("rpc_stream_stalls_total", {{"method", method}})
+          .Increment();
+      obs::GlobalEventLog().Append("rpc.stream_stall", "method=" + method);
+      throw StreamStallError("stream '" + method +
+                             "' stalled: no frame within " +
+                             std::to_string(chunk_timeout.count()) + " ms");
+    }
     const std::uint64_t t3 = tracer.NowMicros();
     msgpack::Value response = msgpack::Decode(reply);
     auto& fields = response.AsMutable<msgpack::Array>();
-    if (fields.size() >= 2 && fields[0].AsInt() == kChunkType) {
-      // A chunk left over from an abandoned stream on this connection
-      // (the caller resumed after a stall): stale by construction — a
-      // monolithic call never gets chunks of its own.
+    if (fields.size() < 2) throw RpcError("malformed RPC frame");
+    const std::int64_t type = fields[0].AsInt();
+    // A one-shot call never gets chunks of its own: any chunk is left
+    // over from an abandoned stream on this connection (the caller
+    // resumed after a stall), stale by construction.
+    const bool stray_chunk = type == kChunkType && on_chunk == nullptr;
+    if (stray_chunk || fields[1].AsUint() < msgid) {
       metrics().GetCounter("rpc_stale_replies_total").Increment();
       obs::GlobalEventLog().Append("rpc.stale_reply", "method=" + method);
       continue;
     }
-    if (fields.size() < 4 || fields[0].AsInt() != kResponseType) {
-      throw RpcError("malformed RPC response");
-    }
-    const std::uint64_t got = fields[1].AsUint();
-    if (got != msgid) {
-      if (got < msgid) {
-        metrics().GetCounter("rpc_stale_replies_total").Increment();
-        obs::GlobalEventLog().Append("rpc.stale_reply", "method=" + method);
-        continue;  // stale reply from an earlier attempt; keep waiting
-      }
+    if (fields[1].AsUint() != msgid) {
       throw RpcError("RPC response msgid mismatch");
+    }
+    if (type == kChunkType) {
+      if (fields.size() < 3) throw RpcError("malformed chunk frame");
+      if (!cancel_sent && !(*on_chunk)(fields[2])) {
+        msgpack::Array cancel;
+        cancel.emplace_back(kCancelType);
+        cancel.emplace_back(msgid);
+        transport_->Send(msgpack::Encode(msgpack::Value(std::move(cancel))));
+        cancel_sent = true;
+        // Keep draining: the terminal frame must be consumed so the
+        // connection stays framed for the next call.
+      }
+      continue;
+    }
+    if (type != kResponseType || fields.size() < 4) {
+      throw RpcError("malformed RPC response");
     }
     // Merge the piggyback *before* error handling: a busy or corrupt
     // reply still cost a round trip, and its server span + wire legs
@@ -141,9 +179,14 @@ msgpack::Value Client::CallOnce(const std::string& method,
       MergeReplyPiggyback(fields[4], t0, t3, ctx, tracer);
     }
     if (!fields[2].IsNil()) {
+      const std::string& remote = fields[2].As<std::string>();
+      // The abort we asked for: an acknowledgement, not an error.
+      if (cancel_sent && remote.starts_with(kCancelledErrorPrefix)) {
+        return std::nullopt;
+      }
       // Well-known prefixes carry typed errors across the string-only
       // error slot (see rpc/protocol.h).
-      ThrowRemoteError(method, fields[2].As<std::string>());
+      ThrowRemoteError(method, remote);
     }
     return std::move(fields[3]);
   }
@@ -167,7 +210,11 @@ msgpack::Value Client::Call(const std::string& method, msgpack::Array params,
 
   for (int attempt = 1;; ++attempt) {
     try {
-      return CallOnce(method, params, net::DeadlineAfter(timeout));
+      // Each attempt is a distinct tagged child span of the rpc.call
+      // span, so a retried request renders as N attempt boxes, failures
+      // included.
+      obs::Span attempt_span("rpc.attempt:" + method, tracer);
+      return *Exchange(method, params, net::DeadlineAfter(timeout));
     } catch (const TimeoutError&) {
       metrics().GetCounter("rpc_timeouts_total", {{"method", method}})
           .Increment();
@@ -244,102 +291,24 @@ msgpack::Value Client::CallStreaming(const std::string& method,
 
   const auto timeout =
       options.timeout.count() > 0 ? options.timeout : default_timeout_;
-  const net::Deadline overall = net::DeadlineAfter(timeout);
-  const std::uint64_t msgid = next_msgid_++;
-
-  msgpack::Array request;
-  request.emplace_back(kRequestType);
-  request.emplace_back(msgid);
-  request.emplace_back(method);
-  request.push_back(msgpack::Value(msgpack::Array(params)));
-  const obs::TraceContext ctx = obs::CurrentTraceContext();
-  const bool traced = ctx.valid() && ctx.sampled;
-  if (traced) request.push_back(ContextToValue(ctx));
-  const std::uint64_t t0 = tracer.NowMicros();
-  transport_->Send(msgpack::Encode(msgpack::Value(std::move(request))));
-
-  bool cancel_sent = false;
-  for (;;) {
-    // Per-frame deadline: the sooner of the overall stream deadline and
-    // the chunk progress deadline, remembering which one is binding so
-    // a wedged stream surfaces as StreamStallError (resumable from the
-    // caller's cursor), not a plain timeout.
-    net::Deadline frame_deadline = overall;
-    bool stall_binding = false;
-    if (options.chunk_timeout.count() > 0) {
-      const net::Deadline stall =
-          std::chrono::steady_clock::now() + options.chunk_timeout;
-      if (stall < frame_deadline) {
-        frame_deadline = stall;
-        stall_binding = true;
-      }
-    }
-    Bytes reply;
-    try {
-      reply = transport_->Receive(frame_deadline);
-    } catch (const TimeoutError&) {
-      if (stall_binding) {
-        metrics()
-            .GetCounter("rpc_stream_stalls_total", {{"method", method}})
-            .Increment();
-        obs::GlobalEventLog().Append("rpc.stream_stall", "method=" + method);
-        throw StreamStallError(
-            "stream '" + method + "' stalled: no frame within " +
-            std::to_string(options.chunk_timeout.count()) + " ms");
-      }
-      metrics().GetCounter("rpc_timeouts_total", {{"method", method}})
-          .Increment();
-      obs::GlobalEventLog().Append("rpc.timeout", EventDetail(method, 1));
-      throw TimeoutError("rpc stream '" + method + "' ran past its overall " +
-                         "deadline");
-    }
-    const std::uint64_t t3 = tracer.NowMicros();
-    msgpack::Value response = msgpack::Decode(reply);
-    auto& fields = response.AsMutable<msgpack::Array>();
-    if (fields.size() < 2) throw RpcError("malformed RPC frame");
-    const std::int64_t type = fields[0].AsInt();
-    const std::uint64_t got = fields[1].AsUint();
-    if (got != msgid) {
-      if (got < msgid) {
-        metrics().GetCounter("rpc_stale_replies_total").Increment();
-        obs::GlobalEventLog().Append("rpc.stale_reply", "method=" + method);
-        continue;  // leftover frame from an abandoned stream
-      }
-      throw RpcError("RPC response msgid mismatch");
-    }
-    if (type == kChunkType) {
-      if (fields.size() < 3) throw RpcError("malformed chunk frame");
-      if (!cancel_sent && !on_chunk(fields[2])) {
-        msgpack::Array cancel;
-        cancel.emplace_back(kCancelType);
-        cancel.emplace_back(msgid);
-        transport_->Send(msgpack::Encode(msgpack::Value(std::move(cancel))));
-        cancel_sent = true;
-        // Keep draining: the terminal frame must be consumed so the
-        // connection stays framed for the next call.
-      }
-      continue;
-    }
-    if (type != kResponseType || fields.size() < 4) {
-      throw RpcError("malformed RPC response");
-    }
-    if (traced && fields.size() >= 5) {
-      MergeReplyPiggyback(fields[4], t0, t3, ctx, tracer);
-    }
-    if (!fields[2].IsNil()) {
-      const std::string& remote = fields[2].As<std::string>();
-      if (remote.starts_with(kCancelledErrorPrefix)) {
-        if (cancel_sent) {
-          // The abort we asked for: an acknowledgement, not an error.
-          if (cancelled_out != nullptr) *cancelled_out = true;
-          return msgpack::Value();
-        }
-        throw RpcError("remote error calling '" + method + "': " + remote);
-      }
-      ThrowRemoteError(method, remote);
-    }
-    return std::move(fields[3]);
+  std::optional<msgpack::Value> result;
+  try {
+    result = Exchange(method, params, net::DeadlineAfter(timeout), &on_chunk,
+                      options.chunk_timeout);
+  } catch (const StreamStallError&) {
+    throw;
+  } catch (const TimeoutError&) {
+    metrics().GetCounter("rpc_timeouts_total", {{"method", method}})
+        .Increment();
+    obs::GlobalEventLog().Append("rpc.timeout", EventDetail(method, 1));
+    throw TimeoutError("rpc stream '" + method + "' ran past its overall " +
+                       "deadline");
   }
+  if (!result.has_value()) {
+    if (cancelled_out != nullptr) *cancelled_out = true;
+    return msgpack::Value();
+  }
+  return std::move(*result);
 }
 
 }  // namespace vizndp::rpc

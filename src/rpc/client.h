@@ -8,6 +8,7 @@
 #include <chrono>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "msgpack/value.h"
@@ -91,9 +92,15 @@ class Client {
                                bool* cancelled_out = nullptr);
 
  private:
-  msgpack::Value CallOnce(const std::string& method,
-                          const msgpack::Array& params,
-                          net::Deadline deadline);
+  // The one send-and-receive loop under Call and CallStreaming. With
+  // `on_chunk`, chunk frames of this call go to it and each frame must
+  // arrive within `chunk_timeout` (0 = no progress deadline); without it
+  // every chunk frame is stale. Returns nullopt when the server
+  // acknowledged the cancel that `on_chunk` asked for.
+  std::optional<msgpack::Value> Exchange(
+      const std::string& method, const msgpack::Array& params,
+      net::Deadline deadline, const ChunkCallback* on_chunk = nullptr,
+      std::chrono::milliseconds chunk_timeout = {});
   obs::Registry& metrics() {
     return metrics_ != nullptr ? *metrics_ : obs::DefaultRegistry();
   }

@@ -1,5 +1,6 @@
 #include "storage/scrubber.h"
 
+#include <string_view>
 #include <utility>
 
 #include "common/error.h"
@@ -10,6 +11,12 @@
 namespace vizndp::storage {
 
 namespace {
+
+// Sleep between passes: uniform in [period * (1 - kPassJitter), period].
+constexpr double kPassJitter = 0.5;
+constexpr std::uint64_t kPassJitterSeed = 0x9E3779B97F4A7C15ull;
+// The catalog's scrubbable objects.
+constexpr std::string_view kScrubbedSuffix = ".vnd";
 
 obs::Gauge& QuarantinedGauge() {
   static obs::Gauge& g =
@@ -106,12 +113,7 @@ ScrubObjectReport Scrubber::RunPassNow() {
   }
   std::uint64_t objects = 0;
   for (const ObjectInfo& info : keys) {
-    const std::string& suffix = options_.key_suffix;
-    if (info.key.size() < suffix.size() ||
-        info.key.compare(info.key.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-      continue;
-    }
+    if (!info.key.ends_with(kScrubbedSuffix)) continue;
     ++objects;
     try {
       const ScrubObjectReport report = verifier_(info.key);
@@ -125,9 +127,6 @@ ScrubObjectReport Scrubber::RunPassNow() {
       // ladder for this; scrubbing moves on and retries next pass.
       ObjectErrorCounter().Increment();
       obs::GlobalEventLog().Append("scrub.object_error", "key=" + info.key);
-    }
-    if (options_.per_object_pause.count() > 0) {
-      std::this_thread::sleep_for(options_.per_object_pause);
     }
   }
   PassCounter().Increment();
@@ -151,12 +150,11 @@ ScrubStatus Scrubber::status() const {
 }
 
 std::chrono::milliseconds Scrubber::NextSleep(std::uint64_t pass) {
-  // Jitter is a pure function of (seed, pass) so a seeded run replays:
-  // uniform in [period * (1 - jitter), period].
+  // A pure function of the pass number, so a run replays.
   const double u =
-      static_cast<double>(net::MixBits(options_.seed ^ pass) >> 11) *
+      static_cast<double>(net::MixBits(kPassJitterSeed ^ pass) >> 11) *
       0x1.0p-53;
-  const double scale = 1.0 - options_.jitter * u;
+  const double scale = 1.0 - kPassJitter * u;
   const auto ms = static_cast<std::int64_t>(
       static_cast<double>(options_.period.count()) * scale);
   return std::chrono::milliseconds(ms < 1 ? 1 : ms);

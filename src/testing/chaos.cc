@@ -592,6 +592,9 @@ ChaosReport RunChaos(const ChaosOptions& options) {
       // from its cursor, or is accounted cancelled.
       if (options.stream_chunk_bricks > 0) {
         const int drill_step = options.steps + 2;
+        // The drills reconfigure the per-node clients, which hedge
+        // losers of the one-shot fetches above may still be using.
+        cluster.sharded_client()->JoinParkedHedges();
         // (a) Client cancel: accounted exactly once, where it is
         // detected (the serving node's counter) and in the journal.
         // Audited over this restart-free window because restarts reset

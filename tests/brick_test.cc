@@ -8,6 +8,7 @@
 #include <set>
 
 #include "bench_util/testbed.h"
+#include "compress/codec.h"
 #include "io/vnd_format.h"
 #include "ndp/bricked_select.h"
 #include "sim/impact.h"
@@ -93,7 +94,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("none", "gzip", "lz4"),
                        ::testing::Values(4, 8, 32)));
 
-TEST(Brick, ReadBrickReturnsCorrectSlab) {
+TEST(Brick, StoredBrickRangeDecompressesToSlab) {
   storage::MemoryObjectStore store;
   store.CreateBucket("data");
   grid::Dataset ds(grid::Dims{6, 6, 6});
@@ -108,7 +109,16 @@ TEST(Brick, ReadBrickReturnsCorrectSlab) {
   const BrickGrid g(ds.dims(), 3);
   // Brick 1 covers x cells [3,5): points x in [3,5], y,z in [0,3].
   const auto e = g.BrickExtent(1);
-  const grid::DataArray slab = reader.ReadBrick("f", 1);
+  const io::ArrayMeta* meta = reader.header().Find("f");
+  ASSERT_TRUE(meta != nullptr && meta->bricks.has_value());
+  const io::BrickEntry& entry = meta->bricks->entries[1];
+  const Bytes stored =
+      reader.ReadArrayRange("f", entry.offset, entry.stored_size);
+  const size_t slab_bytes = static_cast<size_t>(e.PointCount()) * sizeof(float);
+  const grid::DataArray slab(
+      "f", grid::DataType::Float32,
+      compress::MakeCodec(meta->codec)->Decompress(stored, slab_bytes,
+                                                   slab_bytes));
   ASSERT_EQ(slab.size(), e.PointCount());
   const auto values = slab.View<float>();
   size_t idx = 0;

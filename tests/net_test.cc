@@ -332,6 +332,21 @@ TEST(RetryPolicy, ZeroJitterIsExactExponential) {
   EXPECT_EQ(policy.DelayBefore(50), 1000us); // shift doesn't overflow
 }
 
+TEST(JitteredPeriod, FixedSeedPinsTheSchedule) {
+  // The HealthMonitor and FleetScraper sweep schedules: a fixed seed
+  // replays these exact sleeps, each within +-25 % of the period.
+  const std::chrono::microseconds period = 100ms;
+  EXPECT_EQ(JitteredPeriod(period, 1, 1), 120629us);
+  EXPECT_EQ(JitteredPeriod(period, 1, 2), 123550us);
+  EXPECT_EQ(JitteredPeriod(period, 7, 1), 121185us);
+  for (std::uint64_t tick = 1; tick <= 64; ++tick) {
+    const auto sleep = JitteredPeriod(period, 1, tick);
+    EXPECT_GE(sleep, 75ms);
+    EXPECT_LE(sleep, 125ms);
+  }
+  EXPECT_EQ(JitteredPeriod(0us, 1, 1), 1us);  // never a zero-length spin
+}
+
 // ---------------------------------------------------------------------------
 // FaultInjectingTransport
 // ---------------------------------------------------------------------------

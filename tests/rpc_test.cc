@@ -4,11 +4,15 @@
 #include <chrono>
 #include <thread>
 
+#include "msgpack/pack.h"
+#include "msgpack/unpack.h"
 #include "net/fault.h"
 #include "net/inproc.h"
 #include "net/retry.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
+#include "rpc/protocol.h"
 #include "rpc/server.h"
 
 namespace vizndp::rpc {
@@ -284,6 +288,45 @@ TEST(RpcRetry, HardDisconnectExhaustsRetriesWithPeerClosed) {
   // Peer loss is retryable (a ReconnectingTransport could recover), so
   // all attempts were burned before giving up.
   EXPECT_DOUBLE_EQ(sp.Counter("rpc_retries_total{method=echo}"), 3.0);
+}
+
+TEST(RpcRetry, LeftoverChunkFrameIsDroppedByNextCall) {
+  // A chunk of a stream the client abandoned (it resumed elsewhere after
+  // a stall) is still queued on the connection when the next one-shot
+  // call starts. The call must drop it as stale and return its own reply.
+  net::TransportPair pair = net::CreateInProcPair();
+  obs::Registry metrics;
+  Client client(std::move(pair.b));
+  client.SetMetrics(&metrics);
+  // Answers each of two requests with one chunk frame, then the reply:
+  // the chunk carries `msgid - lag`.
+  std::thread peer([t = pair.a.get()] {
+    for (const std::uint64_t lag : {1, 0}) {
+      const Value request = msgpack::Decode(t->Receive());
+      const std::uint64_t msgid = request.As<Array>().at(1).AsUint();
+      msgpack::Map chunk;
+      chunk.emplace_back(Value("cursor"), Value(3));
+      t->Send(msgpack::Encode(Value(
+          Array{Value(kChunkType), Value(msgid - lag), Value(chunk)})));
+      t->Send(msgpack::Encode(Value(
+          Array{Value(kResponseType), Value(msgid), Value(), Value(42)})));
+    }
+  });
+  const auto stale_replies = [&metrics] {
+    const auto snapshot = metrics.Snapshot();
+    const obs::MetricSnapshot* m =
+        obs::FindMetric(snapshot, "rpc_stale_replies_total");
+    return m == nullptr ? 0.0 : m->value;
+  };
+  const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+  EXPECT_EQ(client.Call("echo", Array{Value(42)}).AsInt(), 42);
+  EXPECT_DOUBLE_EQ(stale_replies(), 1.0);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("rpc.stale_reply", seq), 1u);
+  // A chunk under the call's own msgid is stale too: a one-shot call
+  // has no chunk consumer.
+  EXPECT_EQ(client.Call("echo", Array{Value(42)}).AsInt(), 42);
+  EXPECT_DOUBLE_EQ(stale_replies(), 2.0);
+  peer.join();
 }
 
 TEST(RpcServer, OversizeFrameClosesConnectionNotServer) {

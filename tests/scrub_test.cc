@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 
 #include "bench_util/testbed.h"
@@ -232,14 +233,39 @@ TEST(BrickedSelect, QuarantineSkipServesHealedBrick) {
   const contour::Selection expected =
       ndp::SelectInterestingPointsBricked(reader, kArray, kIsos);
 
+  // Also quarantine a clean brick in the middle of a coalesced run: it
+  // must split the run and take the verified read, not poison the run
+  // into the corrupt/re-read rung.
+  const std::vector<std::int64_t> plan =
+      ndp::PlanBricks(*reader.header().Find(kArray), kIsos);
+  std::int64_t interior = -1;
+  for (size_t i = 1; i + 1 < plan.size() && interior < 0; ++i) {
+    if (plan[i - 1] + 1 == plan[i] && plan[i] + 1 == plan[i + 1] &&
+        std::abs(plan[i] - rotted) > 1) {
+      interior = plan[i];
+    }
+  }
+  ASSERT_GE(interior, 0) << "no three-brick run in the fixture's plan";
+  quarantine.Add({kKey, kArray, interior});
+
   const std::uint64_t skips_before = Counter("ndp_quarantine_skip_total");
+  const std::uint64_t corrupt_before = Counter("corrupt_brick_total");
+  const std::uint64_t rereads_before = Counter("brick_reread_total");
   const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
   ndp::BrickedSelectStats stats;
   const contour::Selection got = ndp::SelectInterestingPointsBricked(
       reader, kArray, kIsos, &stats, nullptr, &quarantine, kKey);
 
   EXPECT_EQ(got.ids, expected.ids);
-  EXPECT_GE(stats.quarantine_skips, 1);
+  const contour::Selection dense = contour::SelectInterestingPoints(
+      reader.header().dims, reader.ReadArray(kArray), kIsos);
+  EXPECT_EQ(got.ids, dense.ids);
+  EXPECT_EQ(got.values, dense.values);
+  EXPECT_EQ(stats.quarantine_skips, 2);
+  EXPECT_EQ(stats.corrupt_bricks, 0);
+  EXPECT_EQ(stats.brick_rereads, 0);
+  EXPECT_EQ(Counter("corrupt_brick_total"), corrupt_before);
+  EXPECT_EQ(Counter("brick_reread_total"), rereads_before);
   EXPECT_EQ(Counter("ndp_quarantine_skip_total") - skips_before,
             static_cast<std::uint64_t>(stats.quarantine_skips));
   EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.quarantine_skip", seq),

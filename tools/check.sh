@@ -30,11 +30,11 @@ cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
-  stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + fuzz"
+  stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + ndp + brick + fuzz"
   cmake --preset asan > /dev/null
   cmake --build build-asan -j"$(nproc)" --target obs_test net_test rpc_test \
     fault_test fuzz_test integrity_test trace_test storage_test \
-    store_fault_test scrub_test vizndp_tool
+    store_fault_test scrub_test ndp_test brick_test vizndp_tool
   ./build-asan/tests/obs_test
   ./build-asan/tests/net_test
   ./build-asan/tests/rpc_test
@@ -48,6 +48,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/storage_test
   ./build-asan/tests/store_fault_test
   ./build-asan/tests/scrub_test
+  # The server's select path: brick plan, coalesced verified reads, the
+  # quarantine rung and the one-shot/streamed reply encoders.
+  ./build-asan/tests/ndp_test
+  ./build-asan/tests/brick_test
   # Fuzz smoke under the sanitizers: 1500 mutations x 8 decoder targets
   # (> 10k hostile inputs) at a fixed seed, so a CI failure replays
   # byte-for-byte with the same command.
@@ -76,7 +80,9 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-tsan/tools/vizndp_tool chaos --seed 80886 --schedules 2 --steps 8
   # Scrub-overhead guard (<2% fetch latency at the production cadence;
   # the tier-1 build, not tsan — this measures time, not races). The
-  # bench prints [warn] when over budget; that fails the stage.
+  # bench prints [warn] when over budget. It reports only: bash's set -e
+  # ignores a `!`-negated command, and at N=64 the reading swings
+  # +-10 % run to run, so it cannot gate yet (ROADMAP item 4).
   SCRUB_LOG="$(mktemp)"
   VIZNDP_BENCH_N=64 VIZNDP_BENCH_REPS=4 ./build/bench/abl_scrub_overhead \
     2> "$SCRUB_LOG"
@@ -149,7 +155,8 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # Streaming-overhead guard (<2% median fetch latency at the
   # production chunk size vs the monolithic reply; the tier-1 build —
   # this measures time, not races). The bench prints [warn] when over
-  # budget; that fails the stage.
+  # budget. It reports only (set -e ignores the `!`): the guard reads
+  # over its budget on this tree (ROADMAP item 4).
   STREAM_LOG="$(mktemp)"
   ./build/bench/abl_stream_overhead 2> "$STREAM_LOG"
   cat "$STREAM_LOG" >&2
@@ -178,7 +185,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   VIZNDP_BENCH_N=64 VIZNDP_BENCH_REPS=4 ./build/bench/abl_window_overhead \
     2> "$WIN_LOG"
   cat "$WIN_LOG" >&2
-  ! grep -q '\[warn\]' "$WIN_LOG"
+  if grep -q '\[warn\]' "$WIN_LOG"; then
+    echo "FAILED stage: $CURRENT_STAGE (window overhead over budget)" >&2
+    exit 1
+  fi
   rm -f "$WIN_LOG"
 
   stage "tsan e2e: fleet top dashboard over TCP"
